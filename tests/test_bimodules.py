@@ -1,11 +1,12 @@
 import pytest
 
-from clusteralg import catalog
+from clusteralg import catalog, cli
 from clusteralg.bimodules import (Bimodule, PreconditionFailed, check_bimodule,
                                   dual_bimodule, octo_depth_bimodule,
                                   regular_bimodule, restrict_bimodule,
                                   restriction_rules, semidirect_sum,
                                   zero_bimodule)
+from clusteralg.bundle import dumps
 from clusteralg.core import Level, LevelError, check_axioms, project
 from clusteralg.linalg import Matrix
 
@@ -193,3 +194,394 @@ def test_octo_depth_bimodule(octo3, octo4):
 def test_check_bimodule_level_mismatch(nil2, dend_rb):
     with pytest.raises(LevelError):
         check_bimodule(nil2, regular_bimodule(dend_rb))
+
+
+def check_json(capsys, tmp_path, doc: dict, name: str) -> tuple[int, str]:
+    """Exit code and stdout of `clusteralg check BUNDLE NAME --json`."""
+    path = tmp_path / "golden.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    code = cli.main(["check", str(path), name, "--json"])
+    return code, capsys.readouterr().out
+
+
+# Failing bimodules with their exact `check --json` output: (algebra,
+# module dim, bundle entries, stdout).  Level 1 hits 2.1.1-2 and 2.1.1-3,
+# whose discrepancy is the negated axiom defect; level 2 hits 3.1.2/3/5/6/8/9
+# off the diagonal, whose witness pair fills the algebra slots in reverse.
+# In "level1-least-c" the identity fails on both module basis vectors and
+# only the first one is reported.
+GOLDEN_BIMODULES = {
+    "level1": (
+        "nil2", 2,
+        [["l", "star", 1, 1, 0, "-1"], ["r", "star", 0, 0, 0, "1"],
+         ["r", "star", 1, 1, 0, "-1"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "-1"
+      ],
+      "identity": "2.1.1-1",
+      "witness": [
+        0,
+        1,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1"
+      ],
+      "identity": "2.1.1-1",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1"
+      ],
+      "identity": "2.1.1-2",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1"
+      ],
+      "identity": "2.1.1-3",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "level1-least-c": (
+        "nil2", 2,
+        [["r", "star", 0, 0, 1, "-1"], ["r", "star", 0, 1, 0, "-1"],
+         ["r", "star", 0, 1, 1, "1"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "-1",
+        "0"
+      ],
+      "identity": "2.1.1-2",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "level2": (
+        "dend_from_rb_nil2", 2,
+        [["l", "prec", 0, 1, 1, "3"], ["l", "succ", 0, 0, 0, "1"],
+         ["r", "prec", 0, 1, 0, "-1"], ["r", "prec", 1, 0, 1, "3"],
+         ["r", "succ", 1, 0, 1, "-1"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "-9"
+      ],
+      "identity": "3.1.1",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "3"
+      ],
+      "identity": "3.1.2",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "9",
+        "0"
+      ],
+      "identity": "3.1.2",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-6",
+        "0"
+      ],
+      "identity": "3.1.3",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-3"
+      ],
+      "identity": "3.1.3",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-3",
+        "0"
+      ],
+      "identity": "3.1.3",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1"
+      ],
+      "identity": "3.1.5",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-3",
+        "0"
+      ],
+      "identity": "3.1.5",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "1",
+        "0"
+      ],
+      "identity": "3.1.6",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "1"
+      ],
+      "identity": "3.1.6",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1",
+        "0"
+      ],
+      "identity": "3.1.7",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-2",
+        "0"
+      ],
+      "identity": "3.1.8",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "1",
+        "0"
+      ],
+      "identity": "3.1.9",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "1",
+        "0"
+      ],
+      "identity": "3.1.9",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "level4": (
+        "quadri_from_int3_pair", 2,
+        [["l", "se", 2, 0, 1, "1"], ["r", "sw", 0, 1, 1, "2"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "4"
+      ],
+      "identity": "4.1.3-3",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-2",
+        "0"
+      ],
+      "identity": "4.1.6-2",
+      "witness": [
+        2,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "3",
+        "0"
+      ],
+      "identity": "4.1.9-1",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    }
+  ]
+}
+"""),
+    "level4-rank1": (
+        "quadri_from_int4_pair", 1,
+        [["l", "nw", 1, 0, 0, "1"], ["r", "se", 0, 0, 0, "2"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "-1"
+      ],
+      "identity": "4.1.1-1",
+      "witness": [
+        1,
+        1,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-2"
+      ],
+      "identity": "4.1.1-2",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "2"
+      ],
+      "identity": "4.1.9-2",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "4"
+      ],
+      "identity": "4.1.9-3",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    }
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_BIMODULES))
+def test_check_json_golden(case, capsys, tmp_path):
+    alg, module_dim, entries, expected = GOLDEN_BIMODULES[case]
+    a_doc = catalog.catalog_bundle()["algebras"][alg]
+    doc = {"field": "Q", "algebras": {alg: a_doc},
+           "bimodules": {"m": {"level": a_doc["level"], "algebra_dim": a_doc["dim"],
+                               "module_dim": module_dim, "entries": entries,
+                               "algebra": alg}}}
+    assert check_json(capsys, tmp_path, doc, "m") == (1, expected)

@@ -16,6 +16,7 @@ from clusteralg.operators import (InterMap, NotCommuting, NotRotaBaxter,
 import oracles
 from conftest import mutate_map
 from clusteralg.catalog import SplitMix64
+from test_bimodules import check_json
 
 
 def test_zero_map_is_o_operator(nil2):
@@ -229,3 +230,232 @@ def test_o_identity_mutation_sensitivity(trunc3, int3):
         if not is_rota_baxter(trunc3, cand).ok:
             kills += 1
     assert kills >= 8
+
+
+# Failing O-operators with their exact `check --json` output: (algebra, map
+# document, stdout).  The level-1 map goes from the 2-dimensional column
+# module of ut2 into ut2; the others are Rota-Baxter checks, i.e. O-operator
+# checks for the regular bimodule.
+_COLUMN_MODULE = {"level": 1, "algebra_dim": 3, "module_dim": 2, "algebra": "ut2",
+                  "entries": [["l", "star", 0, 0, 0, "1"], ["l", "star", 1, 0, 1, "1"],
+                              ["l", "star", 2, 1, 1, "1"]]}
+
+GOLDEN_O_OPERATORS = {
+    "level1": (
+        "ut2", {"source_dim": 2, "target_dim": 3, "bimodule": "col",
+                "entries": [[0, 1, "1"], [1, 0, "1"]]},
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "-1",
+        "0"
+      ],
+      "identity": "2.1.3",
+      "witness": [
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "1",
+        "0",
+        "0"
+      ],
+      "identity": "2.1.3",
+      "witness": [
+        1,
+        1
+      ]
+    }
+  ]
+}
+"""),
+    "level2": (
+        "dend_from_int3", {"source_dim": 3, "target_dim": 3,
+                           "entries": [[1, 2, "1"]]},
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "-1",
+        "0"
+      ],
+      "identity": "3.3.1-succ",
+      "witness": [
+        0,
+        2
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/2",
+        "0"
+      ],
+      "identity": "3.3.1-succ",
+      "witness": [
+        2,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/2",
+        "0"
+      ],
+      "identity": "3.3.1-prec",
+      "witness": [
+        0,
+        2
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1",
+        "0"
+      ],
+      "identity": "3.3.1-prec",
+      "witness": [
+        2,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "level4": (
+        "quadri_from_int4_pair", {"source_dim": 4, "target_dim": 4,
+                                  "entries": [[1, 3, "1"]]},
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "-1/2",
+        "0",
+        "0"
+      ],
+      "identity": "4.2.1",
+      "witness": [
+        0,
+        3
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/6",
+        "0",
+        "0"
+      ],
+      "identity": "4.2.1",
+      "witness": [
+        3,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/2",
+        "0",
+        "0"
+      ],
+      "identity": "4.2.2",
+      "witness": [
+        0,
+        3
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/2",
+        "0",
+        "0"
+      ],
+      "identity": "4.2.2",
+      "witness": [
+        3,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/6",
+        "0",
+        "0"
+      ],
+      "identity": "4.2.3",
+      "witness": [
+        0,
+        3
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/2",
+        "0",
+        "0"
+      ],
+      "identity": "4.2.3",
+      "witness": [
+        3,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/2",
+        "0",
+        "0"
+      ],
+      "identity": "4.2.4",
+      "witness": [
+        0,
+        3
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/2",
+        "0",
+        "0"
+      ],
+      "identity": "4.2.4",
+      "witness": [
+        3,
+        0
+      ]
+    }
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_O_OPERATORS))
+def test_check_json_golden(case, capsys, tmp_path):
+    alg, map_doc, expected = GOLDEN_O_OPERATORS[case]
+    doc = {"field": "Q",
+           "algebras": {alg: catalog.catalog_bundle()["algebras"][alg]},
+           "maps": {"t": dict(map_doc, algebra=alg)}}
+    if "bimodule" in map_doc:
+        doc["bimodules"] = {"col": _COLUMN_MODULE}
+    assert check_json(capsys, tmp_path, doc, "t") == (1, expected)
