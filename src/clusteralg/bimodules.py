@@ -1,11 +1,16 @@
 """Bimodules of cluster algebras at levels 1, 2 and 4.
 
 A bimodule assigns to every operation of the algebra a left action
-``l_op: A -> gl(V)`` and a right action ``r_op: A -> gl(V)`` subject to
-the module analogues of the algebra's defining identities, and it is a
-bimodule exactly when the semidirect sum on A (+) V is again an algebra
-of the same kind.  No level-8 bimodule is implemented: only the recipe
-exists for it, not a definition, so asking for one is an error.
+``l_op: A -> gl(V)`` and a right action ``r_op: A -> gl(V)``, and it is
+a bimodule exactly when the semidirect sum on A (+) V (with V.V = 0) is
+again an algebra of the same kind.  ``check_bimodule`` tests exactly
+that: the bimodule identities 2.1.1-k, 3.1.k and 4.1.n-k are the level's
+axioms evaluated in A (+) V on the basis triples with one module slot.
+A violation's witness (i, j, c) names the algebra basis pair (e_i, e_j)
+of the identity and the least module basis index c at which it fails;
+its discrepancy is the V-part of lhs - rhs on v_c.  No level-8 bimodule
+is implemented: only the recipe exists for it, not a definition, so
+asking for one is an error.
 
 Action matrices act on column coordinates of V: ``lmap[op][i]`` is the
 matrix of l_op(e_i), and similarly for ``rmap``.  The dual bimodule
@@ -19,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import (ClusterAlgebra, DERIVED_SYMBOLS, Level, LevelError,
-                   Report, Violation, derived_op, mult_operator, project)
-from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3, rat)
+from .core import (AXIOMS, ClusterAlgebra, Level, LevelError, Report,
+                   Violation, axiom_defect, axiom_tensors, mult_operator,
+                   project)
+from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3, rat,
+                     vec_is_zero, vec_scale)
 
 
 class PreconditionFailed(ValueError):
@@ -97,192 +104,54 @@ def bimodule_entries(m: Bimodule) -> list[tuple[str, str, int, int, int, Fractio
 
 
 # ---------------------------------------------------------------------------
-# identity tables
+# bimodule identities
 #
-# Terms are signed products of matrices.  ("m", side, sym, var) is the
-# (derived) action matrix of the basis vector bound to var; ("p", side,
-# sym, prod, varA, varB) is the action map applied to the algebra product
-# e_varA prod e_varB, i.e. sum_k c[prod][a][b][k] * map[sym][k].  Each
-# identity is checked as an m x m matrix equation for every pair
-# (x, y) = (e_i, e_j).
+# Since V.V = 0, (l, r, V) is a bimodule exactly when the level's axioms
+# hold in A (+) V on the basis triples with one module slot.  Each row
+# names one (axiom, module slot) pair: (id, axiom index in AXIOMS[level],
+# module slot 0/1/2 for x/y/z, sign, swap).  The sign orients the
+# discrepancy as the id's lhs - rhs; with swap set the id's witness pair
+# (i, j) fills the two algebra slots in reverse order.
 
-_BIMODULE_IDENTITIES: dict[int, tuple[tuple[str, tuple, tuple], ...]] = {
-    1: (
-        ("2.1.1-1",
-         ((1, (("p", "l", "star", "star", "x", "y"),)),),
-         ((1, (("m", "l", "star", "x"), ("m", "l", "star", "y"))),)),
-        ("2.1.1-2",
-         ((1, (("p", "r", "star", "star", "x", "y"),)),),
-         ((1, (("m", "r", "star", "y"), ("m", "r", "star", "x"))),)),
-        ("2.1.1-3",
-         ((1, (("m", "l", "star", "x"), ("m", "r", "star", "y"))),),
-         ((1, (("m", "r", "star", "y"), ("m", "l", "star", "x"))),)),
-    ),
-    2: (
-        ("3.1.1",
-         ((1, (("p", "l", "prec", "prec", "x", "y"),)),),
-         ((1, (("m", "l", "prec", "x"), ("m", "l", "prec", "y"))),
-          (1, (("m", "l", "prec", "x"), ("m", "l", "succ", "y"))))),
-        ("3.1.2",
-         ((1, (("m", "r", "prec", "x"), ("m", "l", "prec", "y"))),),
-         ((1, (("m", "l", "prec", "y"), ("m", "r", "prec", "x"))),
-          (1, (("m", "l", "prec", "y"), ("m", "r", "succ", "x"))))),
-        ("3.1.3",
-         ((1, (("m", "r", "prec", "x"), ("m", "r", "prec", "y"))),),
-         ((1, (("p", "r", "prec", "prec", "y", "x"),)),
-          (1, (("p", "r", "prec", "succ", "y", "x"),)))),
-        ("3.1.4",
-         ((1, (("p", "l", "prec", "succ", "x", "y"),)),),
-         ((1, (("m", "l", "succ", "x"), ("m", "l", "prec", "y"))),)),
-        ("3.1.5",
-         ((1, (("m", "r", "prec", "x"), ("m", "l", "succ", "y"))),),
-         ((1, (("m", "l", "succ", "y"), ("m", "r", "prec", "x"))),)),
-        ("3.1.6",
-         ((1, (("m", "r", "prec", "x"), ("m", "r", "succ", "y"))),),
-         ((1, (("p", "r", "succ", "prec", "y", "x"),)),)),
-        ("3.1.7",
-         ((1, (("p", "l", "succ", "prec", "x", "y"),)),
-          (1, (("p", "l", "succ", "succ", "x", "y"),))),
-         ((1, (("m", "l", "succ", "x"), ("m", "l", "succ", "y"))),)),
-        ("3.1.8",
-         ((1, (("m", "r", "succ", "x"), ("m", "l", "prec", "y"))),
-          (1, (("m", "r", "succ", "x"), ("m", "l", "succ", "y")))),
-         ((1, (("m", "l", "succ", "y"), ("m", "r", "succ", "x"))),)),
-        ("3.1.9",
-         ((1, (("m", "r", "succ", "x"), ("m", "r", "succ", "y"))),
-          (1, (("m", "r", "succ", "x"), ("m", "r", "prec", "y")))),
-         ((1, (("p", "r", "succ", "succ", "y", "x"),)),)),
-    ),
-    4: tuple(
-        (ident,
-         ((1, lhs),),
-         ((1, rhs),))
-        for ident, lhs, rhs in (
-            ("4.1.1-1", (("p", "l", "nw", "nw", "x", "y"),),
-             (("m", "l", "nw", "x"), ("m", "l", "star", "y"))),
-            ("4.1.1-2", (("m", "r", "nw", "y"), ("m", "l", "nw", "x")),
-             (("m", "l", "nw", "x"), ("m", "r", "star", "y"))),
-            ("4.1.1-3", (("m", "r", "nw", "y"), ("m", "r", "nw", "x")),
-             (("p", "r", "nw", "star", "x", "y"),)),
-            ("4.1.2-1", (("p", "l", "nw", "sw", "x", "y"),),
-             (("m", "l", "sw", "x"), ("m", "l", "wedge", "y"))),
-            ("4.1.2-2", (("m", "r", "nw", "y"), ("m", "l", "sw", "x")),
-             (("m", "l", "sw", "x"), ("m", "r", "wedge", "y"))),
-            ("4.1.2-3", (("m", "r", "nw", "y"), ("m", "r", "sw", "x")),
-             (("p", "r", "sw", "wedge", "x", "y"),)),
-            ("4.1.3-1", (("p", "l", "sw", "prec", "x", "y"),),
-             (("m", "l", "sw", "x"), ("m", "l", "vee", "y"))),
-            ("4.1.3-2", (("m", "r", "sw", "y"), ("m", "l", "prec", "x")),
-             (("m", "l", "sw", "x"), ("m", "r", "vee", "y"))),
-            ("4.1.3-3", (("m", "r", "sw", "y"), ("m", "r", "prec", "x")),
-             (("p", "r", "sw", "vee", "x", "y"),)),
-            ("4.1.4-1", (("p", "l", "nw", "ne", "x", "y"),),
-             (("m", "l", "ne", "x"), ("m", "l", "prec", "y"))),
-            ("4.1.4-2", (("m", "r", "nw", "y"), ("m", "l", "ne", "x")),
-             (("m", "l", "ne", "x"), ("m", "r", "prec", "y"))),
-            ("4.1.4-3", (("m", "r", "nw", "y"), ("m", "r", "ne", "x")),
-             (("p", "r", "ne", "prec", "x", "y"),)),
-            ("4.1.5-1", (("p", "l", "nw", "se", "x", "y"),),
-             (("m", "l", "se", "x"), ("m", "l", "nw", "y"))),
-            ("4.1.5-2", (("m", "r", "nw", "y"), ("m", "l", "se", "x")),
-             (("m", "l", "se", "x"), ("m", "r", "nw", "y"))),
-            ("4.1.5-3", (("m", "r", "nw", "y"), ("m", "r", "se", "x")),
-             (("p", "r", "se", "nw", "x", "y"),)),
-            ("4.1.6-1", (("p", "l", "sw", "succ", "x", "y"),),
-             (("m", "l", "se", "x"), ("m", "l", "sw", "y"))),
-            ("4.1.6-2", (("m", "r", "sw", "y"), ("m", "l", "succ", "x")),
-             (("m", "l", "se", "x"), ("m", "r", "sw", "y"))),
-            ("4.1.6-3", (("m", "r", "sw", "y"), ("m", "r", "succ", "x")),
-             (("p", "r", "se", "sw", "x", "y"),)),
-            ("4.1.7-1", (("p", "l", "ne", "wedge", "x", "y"),),
-             (("m", "l", "ne", "x"), ("m", "l", "succ", "y"))),
-            ("4.1.7-2", (("m", "r", "ne", "y"), ("m", "l", "wedge", "x")),
-             (("m", "l", "ne", "x"), ("m", "r", "succ", "y"))),
-            ("4.1.7-3", (("m", "r", "ne", "y"), ("m", "r", "wedge", "x")),
-             (("p", "r", "ne", "succ", "x", "y"),)),
-            ("4.1.8-1", (("p", "l", "ne", "vee", "x", "y"),),
-             (("m", "l", "se", "x"), ("m", "l", "ne", "y"))),
-            ("4.1.8-2", (("m", "r", "ne", "y"), ("m", "l", "vee", "x")),
-             (("m", "l", "se", "x"), ("m", "r", "ne", "y"))),
-            ("4.1.8-3", (("m", "r", "ne", "y"), ("m", "r", "vee", "x")),
-             (("p", "r", "se", "ne", "x", "y"),)),
-            ("4.1.9-1", (("p", "l", "se", "star", "x", "y"),),
-             (("m", "l", "se", "x"), ("m", "l", "se", "y"))),
-            ("4.1.9-2", (("m", "r", "se", "y"), ("m", "l", "star", "x")),
-             (("m", "l", "se", "x"), ("m", "r", "se", "y"))),
-            ("4.1.9-3", (("m", "r", "se", "y"), ("m", "r", "star", "x")),
-             (("p", "r", "se", "se", "x", "y"),)),
-        )
-    ),
+_MODULE_SLOTS: dict[int, tuple[tuple[str, int, int, int, bool], ...]] = {
+    1: (("2.1.1-1", 0, 2, 1, False), ("2.1.1-2", 0, 0, -1, False),
+        ("2.1.1-3", 0, 1, -1, False)),
+    # 3.1.(3k+s) is 2.1.5-(k+1) at slot z, y, x for s = 1, 2, 3
+    2: tuple((f"3.1.{3 * k + s}", k, 3 - s, 1, s != 1)
+             for k in range(3) for s in (1, 2, 3)),
+    # 4.1.n-s is 3.4.((n-1)%3+1)-((n-1)//3+1) at slot z, y, x for s = 1, 2, 3
+    4: tuple((f"4.1.{n}-{s}", 3 * ((n - 1) % 3) + (n - 1) // 3, 3 - s, 1, False)
+             for n in range(1, 10) for s in (1, 2, 3)),
 }
 
 
-def _derived_maps(m: Bimodule) -> dict[tuple[str, str], tuple[Matrix, ...]]:
-    """Per-call cache of base and summed action-matrix families."""
-    table = DERIVED_SYMBOLS[int(m.level)]
-    out: dict[tuple[str, str], tuple[Matrix, ...]] = {}
-    for side, maps in (("l", m.lmap), ("r", m.rmap)):
-        for op in m.level.ops:
-            out[(side, op)] = tuple(maps[op])
-        for sym, parts in table.items():
-            mats = []
-            for i in range(m.algebra_dim):
-                acc = maps[parts[0]][i]
-                for name in parts[1:]:
-                    acc = acc + maps[name][i]
-                mats.append(acc)
-            out[(side, sym)] = tuple(mats)
-    return out
-
-
-def _eval_factor(factor, a: ClusterAlgebra, dmaps, dops, i: int, j: int,
-                 mdim: int) -> Matrix:
-    idx = {"x": i, "y": j}
-    if factor[0] == "m":
-        _, side, sym, var = factor
-        return dmaps[(side, sym)][idx[var]]
-    _, side, sym, prod, va, vb = factor
-    coeffs = dops[prod].fibre(idx[va], idx[vb])
-    acc = Matrix.zeros(mdim, mdim)
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = acc + dmaps[(side, sym)][k].scale(c)
-    return acc
-
-
 def check_bimodule(a: ClusterAlgebra, m: Bimodule) -> Report:
-    """Check every bimodule identity as an exact matrix equation.
+    """Check every bimodule identity as an axiom of the semidirect sum.
 
-    Violations carry witness (i, j, c): the basis pair and the first
-    module basis index whose image column differs; the discrepancy is
-    that column of lhs - rhs.
+    Violations carry witness (i, j, c): the basis pair (e_i, e_j) of A and
+    the least module basis index c for which the identity fails on v_c;
+    the discrepancy is the V-part of lhs - rhs there.
     """
     if int(a.level) != int(m.level):
         raise LevelError(f"algebra level {int(a.level)} vs bimodule level {int(m.level)}")
     if a.dim != m.algebra_dim:
         raise DimensionMismatch("algebra dim does not match bimodule")
-    dmaps = _derived_maps(m)
-    syms = {sym for sym in DERIVED_SYMBOLS[int(a.level)]} | set(a.level.ops)
-    dops = {sym: derived_op(a, sym) for sym in syms}
-    mdim = m.module_dim
+    s = semidirect_sum(a, m, check=False)
+    d, n = a.dim, s.dim
+    dops = axiom_tensors(s)
+    axioms = AXIOMS[int(a.level)]
     violations = []
-    for ident, lhs, rhs in _BIMODULE_IDENTITIES[int(a.level)]:
-        for i in range(a.dim):
-            for j in range(a.dim):
-                acc = Matrix.zeros(mdim, mdim)
-                for sign, factors in lhs:
-                    term = _eval_factor(factors[0], a, dmaps, dops, i, j, mdim)
-                    for f in factors[1:]:
-                        term = term @ _eval_factor(f, a, dmaps, dops, i, j, mdim)
-                    acc = acc + term.scale(sign)
-                for sign, factors in rhs:
-                    term = _eval_factor(factors[0], a, dmaps, dops, i, j, mdim)
-                    for f in factors[1:]:
-                        term = term @ _eval_factor(f, a, dmaps, dops, i, j, mdim)
-                    acc = acc - term.scale(sign)
-                if not acc.is_zero():
-                    col = min(c for _, c, _ in acc.nonzero())
-                    violations.append(Violation(ident, (i, j, col), acc.col(col)))
+    for ident, ax, slot, sign, swap in _MODULE_SLOTS[int(a.level)]:
+        for i in range(d):
+            for j in range(d):
+                pair = [j, i] if swap else [i, j]
+                for c in range(d, n):
+                    diff = axiom_defect(axioms[ax], dops, n,
+                                        *pair[:slot], c, *pair[slot:])[d:]
+                    if not vec_is_zero(diff):
+                        violations.append(Violation(ident, (i, j, c - d),
+                                                    vec_scale(sign, diff)))
+                        break
     return Report(tuple(violations))
 
 

@@ -14,10 +14,10 @@ each a name -> object map:
     forms      {"dim", "entries": [[i, j, "p/q"]], "algebra": name?}
 
 Omitted entries are zero; rationals are strings "p" or "p/q"; basis
-indices are 0-based.  A declared tensor symmetry is verified at parse
-time, and all name cross-references must resolve.  Serialisation is
-canonical (sorted entries and keys) so identical objects give
-byte-identical documents.
+indices are 0-based and must lie in 0..dim-1.  A declared tensor
+symmetry is verified at parse time, and all name cross-references must
+resolve.  Serialisation is canonical (sorted entries and keys) so
+identical objects give byte-identical documents.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ def _rat(value) -> object:
         raise BundleError(str(exc)) from None
 
 
+def _index(entry, value, dim: int) -> int:
+    """One basis index of an entry, checked to lie in 0..dim-1."""
+    i = int(value)
+    if not 0 <= i < dim:
+        raise BundleError(f"entry {entry!r}: index {i} is outside 0..{dim - 1}")
+    return i
+
+
 def serialize_algebra(a: ClusterAlgebra) -> dict:
     sc = sorted([op, i, j, k, format_rational(v)]
                 for op, i, j, k, v in algebra_entries(a))
@@ -75,10 +83,13 @@ def serialize_bimodule(m: Bimodule) -> dict:
 
 def parse_bimodule(doc: dict) -> Bimodule:
     try:
-        rows = [(side, op, int(i), int(r), int(c), _rat(v))
-                for side, op, i, r, c, v in doc.get("entries", [])]
-        return bimodule_from_entries(int(doc["level"]), int(doc["algebra_dim"]),
-                                     int(doc["module_dim"]), rows)
+        d, md = int(doc["algebra_dim"]), int(doc["module_dim"])
+        rows = []
+        for entry in doc.get("entries", []):
+            side, op, i, r, c, v = entry
+            rows.append((side, op, _index(entry, i, d), _index(entry, r, md),
+                         _index(entry, c, md), _rat(v)))
+        return bimodule_from_entries(int(doc["level"]), d, md, rows)
     except BundleError:
         raise
     except Exception as exc:
@@ -95,8 +106,9 @@ def parse_intermap(doc: dict) -> InterMap:
     try:
         rows_n, cols_n = int(doc["target_dim"]), int(doc["source_dim"])
         buf = [[0] * cols_n for _ in range(rows_n)]
-        for r, c, v in doc.get("entries", []):
-            buf[int(r)][int(c)] = _rat(v)
+        for entry in doc.get("entries", []):
+            r, c, v = entry
+            buf[_index(entry, r, rows_n)][_index(entry, c, cols_n)] = _rat(v)
         return InterMap(Matrix(buf))
     except BundleError:
         raise
@@ -111,8 +123,9 @@ def _grid_entries(mat: Matrix) -> list:
 def _parse_grid(doc: dict) -> Matrix:
     dim = int(doc["dim"])
     buf = [[0] * dim for _ in range(dim)]
-    for i, j, v in doc.get("entries", []):
-        buf[int(i)][int(j)] = _rat(v)
+    for entry in doc.get("entries", []):
+        i, j, v = entry
+        buf[_index(entry, i, dim)][_index(entry, j, dim)] = _rat(v)
     return Matrix(buf)
 
 
@@ -185,7 +198,7 @@ class Bundle:
             try:
                 return kind, self.section(kind)[name]
             except KeyError:
-                raise BundleError(f"no object {name!r} in {kind}") from None
+                raise BundleError(f"no {kind[:-1]} named {name!r} in the bundle") from None
         hits = [(s, self.section(s)[name]) for s in SECTIONS
                 if name in self.section(s)]
         if not hits:

@@ -138,8 +138,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     bundle = _resolve_bundle(args.bundle)
-    alg = bundle.algebras[args.algebra]
-    form = bundle.forms[args.form]
+    _, alg = bundle.find(args.algebra, "algebras")
+    _, form = bundle.find(args.form, "forms")
     cls = classify_form(alg, form)
     doc = {"symmetric": cls.symmetric, "skew": cls.skew,
            "nondegenerate": cls.nondegenerate,

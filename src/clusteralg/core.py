@@ -338,11 +338,12 @@ AXIOMS: dict[int, tuple[tuple[str, _Term, _Term], ...]] = {
 }
 
 
-def _term_symbols(level: int) -> set[str]:
+def axiom_tensors(a: ClusterAlgebra) -> dict[str, Tensor3]:
+    """Structure constants of every symbol the axioms of a's level use."""
     syms = set()
-    for _, lhs, rhs in AXIOMS[level]:
+    for _, lhs, rhs in AXIOMS[int(a.level)]:
         syms.update((lhs[1], lhs[2], rhs[1], rhs[2]))
-    return syms
+    return {sym: derived_op(a, sym) for sym in syms}
 
 
 def _eval_term(term: _Term, dops: Mapping[str, Tensor3], d: int,
@@ -365,18 +366,24 @@ def _eval_term(term: _Term, dops: Mapping[str, Tensor3], d: int,
     return tuple(acc)
 
 
+def axiom_defect(axiom: tuple[str, _Term, _Term], dops: Mapping[str, Tensor3],
+                 d: int, i: int, j: int, k: int) -> tuple[Fraction, ...]:
+    """lhs - rhs of one axiom on the basis triple (e_i, e_j, e_k)."""
+    _, lhs, rhs = axiom
+    return vec_sub(_eval_term(lhs, dops, d, i, j, k),
+                   _eval_term(rhs, dops, d, i, j, k))
+
+
 def check_axioms(a: ClusterAlgebra) -> Report:
     """Evaluate every defining identity of a's level on all basis triples."""
     d = a.dim
-    level = int(a.level)
-    dops = {sym: derived_op(a, sym) for sym in _term_symbols(level)}
+    dops = axiom_tensors(a)
     violations = []
-    for ident, lhs, rhs in AXIOMS[level]:
+    for axiom in AXIOMS[int(a.level)]:
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    diff = vec_sub(_eval_term(lhs, dops, d, i, j, k),
-                                   _eval_term(rhs, dops, d, i, j, k))
+                    diff = axiom_defect(axiom, dops, d, i, j, k)
                     if not vec_is_zero(diff):
-                        violations.append(Violation(ident, (i, j, k), diff))
+                        violations.append(Violation(axiom[0], (i, j, k), diff))
     return Report(tuple(violations))

@@ -202,14 +202,6 @@ class Matrix:
         return _bareiss_solve(self, rhs)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    return m.inverse()
-
-
 def _bareiss_solve(a: Matrix, rhs: Matrix) -> Matrix:
     """Fraction-free forward elimination, Fraction back substitution."""
     n, k = a.rows, rhs.cols

@@ -4,7 +4,9 @@ A linear map T: V -> A is an O-operator for a bimodule (l, r, V) when
 
     T(u) op T(v) = T( l_op(T(u)) v + r_op(T(v)) u )
 
-holds for every operation op of the algebra's level.  Rota-Baxter
+holds for every operation op of the algebra's level, i.e. when the graph
+{(T u, u)} is closed under every operation of the semidirect sum
+A (+) V, which is how ``is_o_operator`` checks it.  Rota-Baxter
 operators (weight 0) are the special case of the regular bimodule, and
 every O-operator transplants the algebra structure to V with twice as
 many operations; an invertible O-operator transports that structure
@@ -20,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodules import (Bimodule, PreconditionFailed, apply_action,
-                        regular_bimodule)
+                        regular_bimodule, semidirect_sum)
 from .core import (ClusterAlgebra, Level, LevelError, Report, Violation,
                    check_axioms, project)
 from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3,
-                     unit_vector, vec_add, vec_is_zero, vec_sub)
+                     unit_vector, vec_is_zero, vec_sub)
 
 
 class NotCommuting(ValueError):
@@ -81,24 +83,27 @@ _O_IDENTITY_IDS = {
 
 
 def is_o_operator(a: ClusterAlgebra, m: Bimodule, t: InterMap) -> Report:
-    """Check the O-operator identity for every operation on all basis pairs."""
+    """Check that the graph of T is closed under every operation of A (+) V.
+
+    With g_i = (T v_i, v_i), the product g_i op g_j in the semidirect sum
+    is (T v_i op T v_j, l_op(T v_i) v_j + r_op(T v_j) v_i), which lies on
+    the graph exactly when its A-part is T of its V-part.  The violation
+    at witness (i, j) carries the discrepancy A-part - T(V-part).
+    """
     if int(a.level) != int(m.level):
         raise LevelError("algebra and bimodule levels differ")
     if a.dim != m.algebra_dim or t.target_dim != a.dim or t.source_dim != m.module_dim:
         raise DimensionMismatch("map does not fit the algebra/bimodule pair")
+    s = semidirect_sum(a, m, check=False)
+    d, md = a.dim, m.module_dim
+    graph = [t.column(u) + unit_vector(md, u) for u in range(md)]
     ids = _O_IDENTITY_IDS[int(a.level)]
     violations = []
-    md = m.module_dim
     for op in a.level.ops:
-        tensor = a.sc[op]
-        for i in range(md):
-            tu = t.column(i)
-            for j in range(md):
-                tv = t.column(j)
-                lhs = a.bilinear(tensor, tu, tv)
-                inner = vec_add(apply_action(m, "l", op, tu).col(j),
-                                apply_action(m, "r", op, tv).col(i))
-                diff = vec_sub(lhs, t(inner))
+        for i, gi in enumerate(graph):
+            for j, gj in enumerate(graph):
+                p = s.bilinear(s.sc[op], gi, gj)
+                diff = vec_sub(p[:d], t(p[d:]))
                 if not vec_is_zero(diff):
                     violations.append(Violation(ids[op], (i, j), diff))
     return Report(tuple(violations))
@@ -225,6 +230,21 @@ def _require_commuting(*mats: Matrix) -> None:
                 raise NotCommuting(f"operators {i + 1} and {j + 1} do not commute")
 
 
+def _pair_tensor(a: ClusterAlgebra, left: Matrix | None,
+                 right: Matrix | None) -> Tensor3:
+    """Structure constants of x o y = left(x) * right(y) on a level-1 algebra;
+    None stands for the identity map."""
+    d = a.dim
+    entries = []
+    for i in range(d):
+        x = left.col(i) if left is not None else unit_vector(d, i)
+        for j in range(d):
+            y = right.col(j) if right is not None else unit_vector(d, j)
+            col = a.bilinear(a.sc["star"], x, y)
+            entries.extend((i, j, k, v) for k, v in enumerate(col) if v)
+    return Tensor3.from_entries((d, d, d), entries)
+
+
 def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
                    check: bool = True, verify: bool = True) -> ClusterAlgebra:
     """Quadri structure from two commuting Rota-Baxter operators:
@@ -238,28 +258,15 @@ def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
         _require_rb(a, r1, "r1")
         _require_rb(a, r2, "r2")
         _require_commuting(r1.matrix, r2.matrix)
-    d = a.dim
     m1, m2 = r1.matrix, r2.matrix
     m12 = m1 @ m2
-    star = a.sc["star"]
-
-    def pair_tensor(left: Matrix | None, right: Matrix | None) -> Tensor3:
-        entries = []
-        for i in range(d):
-            x = left.col(i) if left is not None else unit_vector(d, i)
-            for j in range(d):
-                y = right.col(j) if right is not None else unit_vector(d, j)
-                col = a.bilinear(star, x, y)
-                entries.extend((i, j, k, v) for k, v in enumerate(col) if v)
-        return Tensor3.from_entries((d, d, d), entries)
-
     sc = {
-        "se": pair_tensor(m12, None),
-        "ne": pair_tensor(m1, m2),
-        "sw": pair_tensor(m2, m1),
-        "nw": pair_tensor(None, m12),
+        "se": _pair_tensor(a, m12, None),
+        "ne": _pair_tensor(a, m1, m2),
+        "sw": _pair_tensor(a, m2, m1),
+        "nw": _pair_tensor(a, None, m12),
     }
-    out = ClusterAlgebra(Level.QUADRI, d, sc)
+    out = ClusterAlgebra(Level.QUADRI, a.dim, sc)
     if verify:
         rep = check_axioms(out)
         if not rep.ok:
@@ -282,27 +289,18 @@ def rb_triple_octo(a: ClusterAlgebra, r1: InterMap, r2: InterMap, r3: InterMap,
         for name, r in (("r1", r1), ("r2", r2), ("r3", r3)):
             _require_rb(a, r, name)
         _require_commuting(r1.matrix, r2.matrix, r3.matrix)
-    d = a.dim
     m1, m2, m3 = r1.matrix, r2.matrix, r3.matrix
-    star = a.sc["star"]
-
-    def tens(left: Matrix | None, right: Matrix | None) -> Tensor3:
-        entries = []
-        for i in range(d):
-            x = left.col(i) if left is not None else unit_vector(d, i)
-            for j in range(d):
-                y = right.col(j) if right is not None else unit_vector(d, j)
-                col = a.bilinear(star, x, y)
-                entries.extend((i, j, k, v) for k, v in enumerate(col) if v)
-        return Tensor3.from_entries((d, d, d), entries)
-
     sc = {
-        "se1": tens(m2 @ m3, m1), "se2": tens(m1 @ m2 @ m3, None),
-        "ne1": tens(m2, m1 @ m3), "ne2": tens(m1 @ m2, m3),
-        "sw1": tens(m3, m1 @ m2), "sw2": tens(m1 @ m3, m2),
-        "nw1": tens(None, m1 @ m2 @ m3), "nw2": tens(m1, m2 @ m3),
+        "se1": _pair_tensor(a, m2 @ m3, m1),
+        "se2": _pair_tensor(a, m1 @ m2 @ m3, None),
+        "ne1": _pair_tensor(a, m2, m1 @ m3),
+        "ne2": _pair_tensor(a, m1 @ m2, m3),
+        "sw1": _pair_tensor(a, m3, m1 @ m2),
+        "sw2": _pair_tensor(a, m1 @ m3, m2),
+        "nw1": _pair_tensor(a, None, m1 @ m2 @ m3),
+        "nw2": _pair_tensor(a, m1, m2 @ m3),
     }
-    out = ClusterAlgebra(Level.OCTO, d, sc)
+    out = ClusterAlgebra(Level.OCTO, a.dim, sc)
     if verify:
         rep = check_axioms(out)
         if not rep.ok:

@@ -5,7 +5,9 @@ raw nested loops over coordinates, deliberately not sharing code with
 the production checkers: products are evaluated through plain nested
 lists, bimodule-style statements are certified through raw semidirect
 reconstruction, and the tensor equations go through a small formal
-placed-tensor engine instead of closed-form index formulas.
+placed-tensor engine instead of closed-form index formulas.  The only
+names imported from the package are the data types ClusterAlgebra and
+Tensor3 (tests/test_oracles.py enforces this).
 """
 
 from __future__ import annotations
@@ -159,6 +161,28 @@ def oracle_axioms(a: ClusterAlgebra) -> bool:
             8: oracle_octo}[int(a.level)](a)
 
 
+def oracle_bimodule(a: ClusterAlgebra, m) -> bool:
+    """(l, r, V) is a bimodule iff A (+) V, with e_i . v = l(e_i) v,
+    v . e_i = r(e_i) v and V.V = 0, is an algebra of a's level.  The sum
+    is rebuilt here entry by entry from raw nested lists."""
+    d, md = a.dim, m.module_dim
+    n = d + md
+    sc = {}
+    for op, t in a.sc.items():
+        c = [[[F0] * n for _ in range(n)] for _ in range(n)]
+        base = nested(t)
+        for i in range(d):
+            for j in range(d):
+                c[i][j][:d] = base[i][j]
+            lmat, rmat = m.lmap[op][i], m.rmap[op][i]
+            for row in range(md):
+                for col in range(md):
+                    c[i][d + col][d + row] = lmat[row, col]
+                    c[d + col][i][d + row] = rmat[row, col]
+        sc[op] = Tensor3((n, n, n), [v for plane in c for line in plane for v in line])
+    return oracle_axioms(ClusterAlgebra(a.level, n, sc))
+
+
 def oracle_rota_baxter(a: ClusterAlgebra, matrix) -> bool:
     """R(x) o R(y) = R(R(x) o y + x o R(y)) for every operation, raw loops."""
     d = a.dim
@@ -221,6 +245,17 @@ def formal_mul(c: list, xs: list, ys: list, d: int) -> list:
     return out
 
 
+# The summed operations the equations below use, written out per level.
+_SUMS = {
+    2: {"star": ("succ", "prec")},
+    4: {"succ": ("ne", "se"), "prec": ("nw", "sw")},
+    8: {"se12": ("se1", "se2"), "ne12": ("ne1", "ne2"), "nw12": ("nw1", "nw2"),
+        "sw12": ("sw1", "sw2"), "succ1": ("ne1", "se1"), "prec2": ("nw2", "sw2"),
+        "vee1": ("se1", "sw1"), "wedge2": ("ne2", "nw2"),
+        "sigma1": ("se1", "ne1", "nw1", "sw1"), "sigma2": ("se2", "ne2", "nw2", "sw2")},
+}
+
+
 def _formal_sum(a: ClusterAlgebra, r, terms) -> list:
     d = a.dim
     cache: dict[str, list] = {}
@@ -231,8 +266,7 @@ def _formal_sum(a: ClusterAlgebra, r, terms) -> list:
             if sym in base:
                 cache[sym] = base[sym]
             else:
-                from clusteralg.core import DERIVED_SYMBOLS
-                cache[sym] = add_sc(*(base[p] for p in DERIVED_SYMBOLS[int(a.level)][sym]))
+                cache[sym] = add_sc(*(base[p] for p in _SUMS[int(a.level)][sym]))
         return cache[sym]
 
     total = [[[F0] * d for _ in range(d)] for _ in range(d)]

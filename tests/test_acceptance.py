@@ -28,6 +28,7 @@ from clusteralg.yangbaxter import (aybe_as_o_operator,
                                    lift_o_operator, q_dual_as_o_operator,
                                    q_equation_as_o_operator, _equation_report)
 
+import oracles
 from conftest import killing_mutations
 from test_bimodules import random_maps
 
@@ -102,6 +103,7 @@ def test_criterion_3_bimodule_iff_semidirect():
         a = _entry(name).value
         for m in (regular_bimodule(a), dual_bimodule(a, regular_bimodule(a))):
             assert check_bimodule(a, m).ok, name
+            assert oracles.oracle_bimodule(a, m), name
             assert check_axioms(semidirect_sum(a, m)).ok, name
             agreements += 1
         for seed in range(5):
@@ -110,6 +112,7 @@ def test_criterion_3_bimodule_iff_semidirect():
             assert not is_bim, (name, seed, "random tuple happened to pass")
             passes = check_axioms(semidirect_sum(a, m, check=False)).ok
             assert is_bim == passes
+            assert is_bim == oracles.oracle_bimodule(a, m)
             agreements += 1
     report("criterion 3", f"{agreements} bimodule<->semidirect agreements "
                           "at levels 1/2/4, 100%")

@@ -160,6 +160,7 @@ def test_bimodule_iff_semidirect(name):
         is_bimodule = check_bimodule(a, m).ok
         sum_passes = check_axioms(semidirect_sum(a, m, check=False)).ok
         assert is_bimodule == sum_passes
+        assert is_bimodule == oracles.oracle_bimodule(a, m)
 
 
 def test_same_associated_algebra_after_padding(dend_rb, dend_int3):

@@ -186,3 +186,27 @@ def test_env_override_catalog_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CLUSTERALG_CATALOG", str(target))
     code, out, _ = run(capsys, "check", "catalog", "ut2")
     assert code == 0
+
+
+@pytest.mark.parametrize("section, obj", [
+    ("bimodules", {"level": 1, "algebra_dim": 2, "module_dim": 2,
+                   "entries": [["l", "star", -1, 0, 0, "1"]]}),
+    ("maps", {"source_dim": 2, "target_dim": 2, "entries": [[-1, 0, "1"]]}),
+    ("tensors", {"dim": 2, "entries": [[-1, 0, "1"]]}),
+    ("forms", {"dim": 2, "entries": [[0, -1, "1"]]}),
+])
+def test_negative_index_exit_two(capsys, tmp_path, section, obj):
+    doc = {"field": "Q", "algebras": {"nil2": catalog.catalog_bundle()["algebras"]["nil2"]},
+           section: {"bad": dict(obj, algebra="nil2")}}
+    path = tmp_path / "negative.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path), "bad")
+    assert code == 2
+    assert f"{section}/bad: entry {obj['entries'][0]!r}" in err
+
+
+def test_classify_missing_name_exit_two(capsys):
+    code, _, err = run(capsys, "classify", "catalog", "nosuch", "x")
+    assert code == 2 and "no algebra named 'nosuch' in the bundle" in err
+    code, _, err = run(capsys, "classify", "catalog", "nil2", "nosuch")
+    assert code == 2 and "no form named 'nosuch' in the bundle" in err
