@@ -8,7 +8,8 @@ from clusteralg.bimodules import (PreconditionFailed, dual_bimodule,
                                   semidirect_sum)
 from clusteralg.core import (LevelError, check_axioms, algebra_from_entries,
                              zero_algebra)
-from clusteralg.linalg import Matrix, Tensor3
+from clusteralg.bundle import serialize_algebra, serialize_tensor2
+from clusteralg.linalg import Matrix, Tensor3, format_rational
 from clusteralg.operators import InterMap
 from clusteralg.yangbaxter import (Tensor2, aybe_as_o_operator,
                                    canonical_double_solution, check_aybe,
@@ -348,3 +349,170 @@ def test_double_product_connes_with_induced_dual(dend_int3):
     assert check_axioms(big).ok and big.dim == 12
     cls = classify_form(big, canonical_cocycle_form(lift.double.dim))
     assert cls.flags["connes_cocycle"]
+
+
+def _violation_rows(report) -> tuple:
+    return tuple((v.identity_id, v.witness,
+                  tuple(format_rational(x) for x in v.discrepancy))
+                 for v in report.violations)
+
+
+# The exact 3.3.2 and 3.3.3 reports of d_equation_equivalents on seeded
+# symmetric tensors: (catalog entry, seed) -> (3.3.2 rows, 3.3.3 rows).
+# Seed 2 on dend_from_rb_nil2 solves the D-equation.
+GOLDEN_D_EQUIVALENTS = {
+    ("dend_from_int3", 0): (
+        (("3.3.2", (0, 0), ("0", "9", "-27/4")),
+         ("3.3.2", (0, 1), ("-18", "9/2", "17/8")),
+         ("3.3.2", (0, 2), ("27/2", "-39/8", "-2")),
+         ("3.3.2", (1, 0), ("9", "-9", "11/4")),
+         ("3.3.2", (1, 1), ("9/2", "0", "-3/4")),
+         ("3.3.2", (1, 2), ("-39/8", "3/2", "1")),
+         ("3.3.2", (2, 0), ("-27/4", "11/4", "4")),
+         ("3.3.2", (2, 1), ("17/8", "-3/4", "-2")),
+         ("3.3.2", (2, 2), ("-2", "1", "0"))),
+        (("3.3.3", (0, 0), ("0", "9", "-27/4")),
+         ("3.3.3", (0, 1), ("9", "-9", "11/4")),
+         ("3.3.3", (0, 2), ("-27/4", "11/4", "4")),
+         ("3.3.3", (1, 0), ("-18", "9/2", "17/8")),
+         ("3.3.3", (1, 1), ("9/2", "0", "-3/4")),
+         ("3.3.3", (1, 2), ("17/8", "-3/4", "-2")),
+         ("3.3.3", (2, 0), ("27/2", "-39/8", "-2")),
+         ("3.3.3", (2, 1), ("-39/8", "3/2", "1")),
+         ("3.3.3", (2, 2), ("-2", "1", "0"))),
+    ),
+    ("dend_from_int3", 1): (
+        (("3.3.2", (0, 0), ("0", "1/4", "-1/4")),
+         ("3.3.2", (0, 1), ("-1/2", "1/6", "-29/18")),
+         ("3.3.2", (0, 2), ("1/2", "8/3", "7/18")),
+         ("3.3.2", (1, 0), ("1/4", "-1/3", "-19/18")),
+         ("3.3.2", (1, 1), ("1/6", "0", "17/9")),
+         ("3.3.2", (1, 2), ("8/3", "-34/9", "-14/9")),
+         ("3.3.2", (2, 0), ("-1/4", "-19/18", "-7/9")),
+         ("3.3.2", (2, 1), ("-29/18", "17/9", "28/9")),
+         ("3.3.2", (2, 2), ("7/18", "-14/9", "0"))),
+        (("3.3.3", (0, 0), ("0", "1/4", "-1/4")),
+         ("3.3.3", (0, 1), ("1/4", "-1/3", "-19/18")),
+         ("3.3.3", (0, 2), ("-1/4", "-19/18", "-7/9")),
+         ("3.3.3", (1, 0), ("-1/2", "1/6", "-29/18")),
+         ("3.3.3", (1, 1), ("1/6", "0", "17/9")),
+         ("3.3.3", (1, 2), ("-29/18", "17/9", "28/9")),
+         ("3.3.3", (2, 0), ("1/2", "8/3", "7/18")),
+         ("3.3.3", (2, 1), ("8/3", "-34/9", "-14/9")),
+         ("3.3.3", (2, 2), ("7/18", "-14/9", "0"))),
+    ),
+    ("dend_from_int3", 2): (
+        (("3.3.2", (0, 1), ("0", "0", "8")),
+         ("3.3.2", (0, 2), ("0", "-24", "12")),
+         ("3.3.2", (1, 0), ("0", "0", "16")),
+         ("3.3.2", (1, 1), ("0", "0", "4")),
+         ("3.3.2", (1, 2), ("-24", "-8", "13/3")),
+         ("3.3.2", (2, 0), ("0", "16", "-24")),
+         ("3.3.2", (2, 1), ("8", "4", "-26/3")),
+         ("3.3.2", (2, 2), ("12", "13/3", "0"))),
+        (("3.3.3", (0, 1), ("0", "0", "16")),
+         ("3.3.3", (0, 2), ("0", "16", "-24")),
+         ("3.3.3", (1, 0), ("0", "0", "8")),
+         ("3.3.3", (1, 1), ("0", "0", "4")),
+         ("3.3.3", (1, 2), ("8", "4", "-26/3")),
+         ("3.3.3", (2, 0), ("0", "-24", "12")),
+         ("3.3.3", (2, 1), ("-24", "-8", "13/3")),
+         ("3.3.3", (2, 2), ("12", "13/3", "0"))),
+    ),
+    ("dend_from_rb_nil2", 0): (
+        (("3.3.2", (0, 0), ("0", "9")),
+         ("3.3.2", (0, 1), ("-18", "9/2")),
+         ("3.3.2", (1, 0), ("9", "-9")),
+         ("3.3.2", (1, 1), ("9/2", "0"))),
+        (("3.3.3", (0, 0), ("0", "9")),
+         ("3.3.3", (0, 1), ("9", "-9")),
+         ("3.3.3", (1, 0), ("-18", "9/2")),
+         ("3.3.3", (1, 1), ("9/2", "0"))),
+    ),
+    ("dend_from_rb_nil2", 1): (
+        (("3.3.2", (0, 0), ("0", "1/4")),
+         ("3.3.2", (0, 1), ("-1/2", "1/6")),
+         ("3.3.2", (1, 0), ("1/4", "-1/3")),
+         ("3.3.2", (1, 1), ("1/6", "0"))),
+        (("3.3.3", (0, 0), ("0", "1/4")),
+         ("3.3.3", (0, 1), ("1/4", "-1/3")),
+         ("3.3.3", (1, 0), ("-1/2", "1/6")),
+         ("3.3.3", (1, 1), ("1/6", "0"))),
+    ),
+    ("dend_from_rb_nil2", 2): (
+        (),
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_D_EQUIVALENTS))
+def test_d_equation_equivalents_golden(name, seed):
+    a = catalog.load(name).value
+    res = d_equation_equivalents(a, catalog.random_tensor2(a.dim, "sym", seed))
+    got = (_violation_rows(res.conditions["3.3.2"]),
+           _violation_rows(res.conditions["3.3.3"]))
+    assert got == GOLDEN_D_EQUIVALENTS[(name, seed)]
+
+
+def _image_lift_case(case: str):
+    alg, bim, op = case.split("/")
+    a = catalog.load(alg).value
+    m = regular_bimodule(a)
+    if bim != "regular":
+        _, m = restrict_bimodule(a, m, bim)
+    t = InterMap.identity(a.dim) if op == "identity" else catalog.load(op).value
+    return image_double_solution(a, m, t)
+
+
+# The full image lift, as (double, tensor entries, equation report,
+# operator report) in bundle notation: "algebra/bimodule/map" -> document.
+GOLDEN_IMAGE_LIFTS = {
+    "nil2/regular/rb_nil2": {
+        "double": {"level": 2, "dim": 3, "sc": [
+            ["prec", 2, 0, 1, "1"], ["succ", 0, 2, 1, "1"],
+        ]},
+        "tensor": [[0, 1, "1"], [1, 0, "1"]],
+        "equation_report": (),
+        "operator_report": (),
+    },
+    "dend_from_rb_nil2/outer-zero/identity": {
+        "double": {"level": 4, "dim": 4, "sc": [
+            ["nw", 0, 0, 1, "1"], ["nw", 3, 0, 2, "1"],
+            ["se", 0, 0, 1, "1"], ["se", 0, 3, 2, "1"],
+        ]},
+        "tensor": [[0, 2, "1"], [1, 3, "1"], [2, 0, "-1"], [3, 1, "-1"]],
+        "equation_report": (),
+        "operator_report": (),
+    },
+    "trunc3/regular/int3": {
+        "double": {"level": 2, "dim": 5, "sc": [
+            ["prec", 0, 0, 1, "1"], ["prec", 3, 0, 2, "1"],
+            ["prec", 4, 0, 3, "1"], ["prec", 4, 1, 2, "1/2"],
+            ["succ", 0, 0, 1, "1"], ["succ", 0, 3, 2, "1"],
+            ["succ", 0, 4, 3, "1"], ["succ", 1, 4, 2, "1/2"],
+        ]},
+        "tensor": [[0, 2, "1"], [1, 3, "1"], [2, 0, "1"], [3, 1, "1"]],
+        "equation_report": (),
+        "operator_report": (),
+    },
+    "dend_from_int3/regular/int3": {
+        "double": {"level": 4, "dim": 5, "sc": [
+            ["ne", 4, 0, 2, "-1"], ["nw", 4, 0, 2, "3/2"],
+            ["se", 0, 4, 2, "3/2"], ["sw", 0, 4, 2, "-1"],
+        ]},
+        "tensor": [[0, 2, "1"], [1, 3, "1"], [2, 0, "-1"], [3, 1, "-1"]],
+        "equation_report": (),
+        "operator_report": (),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_IMAGE_LIFTS))
+def test_image_lift_golden(case):
+    res = _image_lift_case(case)
+    got = {"double": serialize_algebra(res.double),
+           "tensor": serialize_tensor2(res.tensor)["entries"],
+           "equation_report": _violation_rows(res.equation_report),
+           "operator_report": _violation_rows(res.operator_report)}
+    assert got == GOLDEN_IMAGE_LIFTS[case]
