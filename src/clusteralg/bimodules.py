@@ -22,13 +22,14 @@ signed combinations listed in ``dual_bimodule``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .core import (AXIOMS, ClusterAlgebra, Level, LevelError, Report,
                    Violation, axiom_defect, axiom_tensors, mult_operator,
                    project)
 from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3, rat,
-                     vec_is_zero, vec_scale)
+                     vec_add, vec_is_zero, vec_scale)
 
 
 class PreconditionFailed(ValueError):
@@ -167,30 +168,46 @@ def regular_bimodule(a: ClusterAlgebra) -> Bimodule:
     return Bimodule(a.level, d, d, lmap, rmap)
 
 
-def _t(mats: Sequence[Matrix]) -> tuple[Matrix, ...]:
-    return tuple(m.transpose() for m in mats)
-
-
-def _tsum(*families: Sequence[Matrix]) -> tuple[Matrix, ...]:
+def _family(m: Bimodule, side: str, ops: str, sign: int,
+            transpose: bool) -> tuple[Matrix, ...]:
+    """sign times the sum of m's side maps over the ops of an "op+op" spec,
+    one matrix per basis vector of the algebra, transposed on request."""
+    maps = m.lmap if side == "l" else m.rmap
+    fams = [maps[op] for op in ops.split("+")]
+    if len(fams) == 1 and sign == 1 and not transpose:
+        return tuple(fams[0])
     out = []
-    for mats in zip(*families):
-        acc = mats[0]
-        for m in mats[1:]:
-            acc = acc + m
-        out.append(acc.transpose())
+    for mats in zip(*fams):
+        grid = [reduce(vec_add, [mat.row(r) for mat in mats])
+                for r in range(m.module_dim)]
+        if sign < 0:
+            grid = [[-v for v in row] for row in grid]
+        out.append(Matrix(zip(*grid) if transpose else grid))
     return tuple(out)
 
 
-def _tneg(mats: Sequence[Matrix]) -> tuple[Matrix, ...]:
-    return tuple((-m).transpose() for m in mats)
+def _from_slots(level: Level, m: Bimodule, fams: Sequence) -> Bimodule:
+    """A bimodule on m's spaces from families in slot order l_op, r_op per op."""
+    lmap = {op: fams[2 * k] for k, op in enumerate(level.ops)}
+    rmap = {op: fams[2 * k + 1] for k, op in enumerate(level.ops)}
+    return Bimodule(level, m.algebra_dim, m.module_dim, lmap, rmap)
 
 
-def _tnegsum(*families: Sequence[Matrix]) -> tuple[Matrix, ...]:
-    return tuple((-m) for m in _tsum(*families))
+# The dual bimodule on V*: slot k (l_op, r_op for each op in turn) is the
+# signed, transposed sum (side, "op+op", sign) of m's maps.
+_DUAL_SLOTS: dict[int, tuple[tuple[str, str, int], ...]] = {
+    1: (("r", "star", 1), ("l", "star", 1)),
+    2: (("r", "succ+prec", 1), ("l", "prec", -1),
+        ("r", "succ", -1), ("l", "succ+prec", 1)),
+    4: (("r", "se+ne+nw+sw", 1), ("l", "nw", 1),
+        ("r", "se+sw", -1), ("l", "nw+sw", -1),
+        ("r", "se", 1), ("l", "se+ne+nw+sw", 1),
+        ("r", "ne+se", -1), ("l", "ne+nw", -1)),
+}
 
 
 def dual_bimodule(a: ClusterAlgebra, m: Bimodule) -> Bimodule:
-    """The signed, transposed bimodule on V*.
+    """The signed, transposed bimodule on V*, read from ``_DUAL_SLOTS``:
 
     level 1: (l', r') = (r*, l*)
     level 2: (l'_succ, r'_succ, l'_prec, r'_prec)
@@ -200,30 +217,8 @@ def dual_bimodule(a: ClusterAlgebra, m: Bimodule) -> Bimodule:
     """
     if int(a.level) != int(m.level):
         raise LevelError("algebra and bimodule levels differ")
-    lv = int(m.level)
-    L, R = m.lmap, m.rmap
-    if lv == 1:
-        lmap = {"star": _t(R["star"])}
-        rmap = {"star": _t(L["star"])}
-    elif lv == 2:
-        lmap = {"succ": _tsum(R["succ"], R["prec"]), "prec": _tneg(R["succ"])}
-        rmap = {"succ": _tneg(L["prec"]), "prec": _tsum(L["succ"], L["prec"])}
-    elif lv == 4:
-        lmap = {
-            "se": _tsum(R["se"], R["ne"], R["nw"], R["sw"]),
-            "ne": _tnegsum(R["se"], R["sw"]),
-            "nw": _t(R["se"]),
-            "sw": _tnegsum(R["ne"], R["se"]),
-        }
-        rmap = {
-            "se": _t(L["nw"]),
-            "ne": _tnegsum(L["nw"], L["sw"]),
-            "nw": _tsum(L["se"], L["ne"], L["nw"], L["sw"]),
-            "sw": _tnegsum(L["ne"], L["nw"]),
-        }
-    else:  # pragma: no cover - Bimodule refuses level 8 already
-        raise LevelError("no level-8 bimodule")
-    return Bimodule(m.level, m.algebra_dim, m.module_dim, lmap, rmap)
+    return _from_slots(m.level, m, [_family(m, side, ops, sign, True)
+                                    for side, ops, sign in _DUAL_SLOTS[int(m.level)]])
 
 
 # ---------------------------------------------------------------------------
@@ -298,28 +293,10 @@ def restrict_bimodule(a: ClusterAlgebra, m: Bimodule,
     else:
         out_alg = project(a, target)
         out_level = out_alg.level
-    d, md = m.algebra_dim, m.module_dim
-    zero = tuple(Matrix.zeros(md, md) for _ in range(d))
-
-    def family(spec) -> tuple[Matrix, ...]:
-        if spec == _ZERO_FAM:
-            return zero
-        side, ops = spec
-        maps = m.lmap if side == "l" else m.rmap
-        parts = ops.split("+")
-        out = []
-        for i in range(d):
-            acc = maps[parts[0]][i]
-            for name in parts[1:]:
-                acc = acc + maps[name][i]
-            out.append(acc)
-        return tuple(out)
-
-    fams = [family(spec) for spec in slots]
-    ops = out_level.ops
-    lmap = {op: fams[2 * k] for k, op in enumerate(ops)}
-    rmap = {op: fams[2 * k + 1] for k, op in enumerate(ops)}
-    return out_alg, Bimodule(out_level, d, md, lmap, rmap)
+    zero = tuple(Matrix.zeros(m.module_dim, m.module_dim)
+                 for _ in range(m.algebra_dim))
+    return out_alg, _from_slots(out_level, m, [
+        zero if spec == _ZERO_FAM else _family(m, *spec, 1, False) for spec in slots])
 
 
 def semidirect_sum(a: ClusterAlgebra, m: Bimodule, check: bool = True) -> ClusterAlgebra:

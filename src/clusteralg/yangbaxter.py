@@ -23,7 +23,7 @@ can be tested rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .bimodules import (Bimodule, PreconditionFailed, apply_action,
@@ -32,9 +32,9 @@ from .bimodules import (Bimodule, PreconditionFailed, apply_action,
 from .core import (ClusterAlgebra, Level, LevelError, Report, Violation,
                    check_axioms, derived_op, mult_operator)
 from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3,
-                     row_echelon_pivots, solve_consistent, vec_is_zero,
-                     vec_sub)
-from .operators import InterMap, VerificationFailed, is_o_operator
+                     row_echelon_pivots, solve_consistent)
+from .operators import (InterMap, VerificationFailed, induced_tensors,
+                        is_o_operator)
 
 
 @dataclass(frozen=True)
@@ -255,48 +255,29 @@ def d_equation_equivalents(a: ClusterAlgebra, r: Tensor2) -> EquivalenceResult:
 
     (1) the D-equation; (2) r an O-operator of the associated associative
     algebra for (R_prec*, L_succ*); (3) identity 3.3.2; (4) identity 3.3.3.
+
+    3.3.2 and 3.3.3 are the succ and prec conditions of r being an
+    O-operator of a itself for the dual regular bimodule
+    (R_star*, -L_prec*, -R_succ*, L_star*):
+    r(a*) > r(b*) = r(R_star*(r(a*)) b* - L_prec*(r(b*)) a*) and
+    r(a*) < r(b*) = r(-R_succ*(r(a*)) b* + L_star*(r(b*)) a*).
     """
     _require_level(a, 2, "the D-equation equivalences")
     if not r.is_symmetric():
         raise ValueError("the equivalences need a symmetric tensor")
     assoc, outer = restrict_bimodule(a, regular_bimodule(a), "assoc-outer")
     cond2 = is_o_operator(assoc, dual_bimodule(assoc, outer), r.as_intermap())
+    dual = is_o_operator(a, dual_bimodule(a, regular_bimodule(a)), r.as_intermap())
 
-    d = a.dim
-    g = r.grid
-    succ = a.sc["succ"]
-    prec = a.sc["prec"]
-    star = derived_op(a, "star")
+    def renamed(old: str, new: str) -> Report:
+        return Report(tuple(replace(v, identity_id=new) for v in dual.violations
+                            if v.identity_id == old))
 
-    def op_matrix(sym: str, side: str, vec) -> Matrix:
-        acc = Matrix.zeros(d, d)
-        for c, coeff in enumerate(vec):
-            if coeff:
-                acc = acc + mult_operator(a, sym, side, c).scale(coeff)
-        return acc
-
-    v3, v4 = [], []
-    for i in range(d):
-        u = g.col(i)
-        for j in range(d):
-            v = g.col(j)
-            # 3.3.2: r(a*) > r(b*) = r(R_*^*(r(a*)) b* - L_<^*(r(b*)) a*)
-            inner = vec_sub(op_matrix("star", "right", u).transpose().col(j),
-                            op_matrix("prec", "left", v).transpose().col(i))
-            diff = vec_sub(a.bilinear(succ, u, v), g.apply(inner))
-            if not vec_is_zero(diff):
-                v3.append(Violation("3.3.2", (i, j), diff))
-            # 3.3.3: r(a*) < r(b*) = r(-R_>^*(r(a*)) b* + L_*^*(r(b*)) a*)
-            inner = vec_sub(op_matrix("star", "left", v).transpose().col(i),
-                            op_matrix("succ", "right", u).transpose().col(j))
-            diff = vec_sub(a.bilinear(prec, u, v), g.apply(inner))
-            if not vec_is_zero(diff):
-                v4.append(Violation("3.3.3", (i, j), diff))
     return EquivalenceResult({
         "d-equation": check_d_equation(a, r),
         "o-operator": cond2,
-        "3.3.2": Report(tuple(v3)),
-        "3.3.3": Report(tuple(v4)),
+        "3.3.2": renamed("3.3.1-succ", "3.3.2"),
+        "3.3.3": renamed("3.3.1-prec", "3.3.3"),
     })
 
 
@@ -421,77 +402,52 @@ def canonical_double_solution(a: ClusterAlgebra, variant: str) -> LiftResult:
     return lift_o_operator(base, m, InterMap.identity(a.dim), symmetry)
 
 
-_IMAGE_LIFT = {1: ("sym", ("2.3.10",)), 2: ("skew", ("3.4.17", "3.4.18"))}
-
-
 def image_double_solution(a: ClusterAlgebra, m: Bimodule,
                           t: InterMap) -> LiftResult:
-    """Lift of an O-operator through its image: the induced finer algebra
-    on T(V) forms a semidirect double with V* and r = T + sigma(T)
-    (level-1 input, solving the D-equation) respectively r = T - sigma(T)
-    (level-2 input, solving the Q-equation) lives there.
+    """Lift of an O-operator through its image: the canonical lift of the
+    corestriction s: V -> T(V) of T into a semidirect double.
+
+    The finer algebra T induces on V is pushed forward to T(V) in the
+    basis of T's pivot columns; its coarser projection is the subalgebra
+    T(V) of A.  Pulled back along T(V) in A and padded with zero maps
+    (rule embed-assoc or embed-dend), m is a bimodule of that image
+    algebra for which s is an O-operator, and ``lift_o_operator`` puts
+    r = s + sigma(s) (level-1 input, solving the D-equation) respectively
+    r = s - sigma(s) (level-2 input, solving the Q-equation) into the
+    double with V*.  A map of rank 0 has no image to lift into.
     """
-    if int(a.level) not in _IMAGE_LIFT:
+    level = int(a.level)
+    if level not in (1, 2):
         raise LevelError("image lift is defined for level-1 and level-2 inputs")
     rep = is_o_operator(a, m, t)
     if not rep.ok:
         raise PreconditionFailed("map is not an O-operator", rep)
-    symmetry, eq_ids = _IMAGE_LIFT[int(a.level)]
     pivots = row_echelon_pivots(t.matrix)
-    k = len(pivots)
+    if not pivots:
+        raise ValueError("image lift needs a map of positive rank: the zero "
+                         "map has no image to lift into")
     w = Matrix.from_cols([t.column(c) for c in pivots])  # basis of T(V)
-
-    def in_image(vec) -> tuple[Fraction, ...]:
-        return solve_consistent(w, vec)
-
-    # induced finer products on the image, via chosen preimages
-    from .operators import _INDUCTION  # shared induction table
-    md = m.module_dim
+    k = len(pivots)
     sc = {}
-    for new_op, (side, op) in _INDUCTION[int(a.level)].items():
+    for op, tensor in induced_tensors(a, m, t).items():
         entries = []
-        for alpha in range(k):
-            for beta in range(k):
-                if side == "l":
-                    vec = t(apply_action(m, "l", op, w.col(alpha)).col(pivots[beta]))
-                else:
-                    vec = t(apply_action(m, "r", op, w.col(beta)).col(pivots[alpha]))
-                coords = in_image(vec)
+        for alpha, p in enumerate(pivots):
+            for beta, q in enumerate(pivots):
+                coords = solve_consistent(w, t(tensor.fibre(p, q)))
                 entries.extend((alpha, beta, kk, v) for kk, v in enumerate(coords) if v)
-        sc[new_op] = Tensor3.from_entries((k, k, k), entries)
-    image_alg = ClusterAlgebra(Level.of(2 * int(a.level)), k, sc)
-
-    zero = tuple(Matrix.zeros(md, md) for _ in range(k))
-    if int(a.level) == 1:
-        lmap = {"succ": tuple(apply_action(m, "r", "star", w.col(al)).transpose()
-                              for al in range(k)),
-                "prec": zero}
-        rmap = {"succ": zero,
-                "prec": tuple(apply_action(m, "l", "star", w.col(al)).transpose()
-                              for al in range(k))}
-        module = Bimodule(Level.DEND, k, md, lmap, rmap)
-    else:
-        def act(side: str, ops: tuple[str, ...], al: int, neg: bool) -> Matrix:
-            acc = apply_action(m, side, ops[0], w.col(al))
-            for name in ops[1:]:
-                acc = acc + apply_action(m, side, name, w.col(al))
-            acc = acc.transpose()
-            return -acc if neg else acc
-
-        lmap = {"se": tuple(act("r", ("succ", "prec"), al, False) for al in range(k)),
-                "ne": zero, "nw": zero,
-                "sw": tuple(act("r", ("succ",), al, True) for al in range(k))}
-        rmap = {"se": zero,
-                "ne": tuple(act("l", ("prec",), al, True) for al in range(k)),
-                "nw": tuple(act("l", ("succ", "prec"), al, False) for al in range(k)),
-                "sw": zero}
-        module = Bimodule(Level.QUADRI, k, md, lmap, rmap)
-    double = semidirect_sum(image_alg, module, check=True)
-
-    s = Matrix.from_cols([in_image(t.column(j)) for j in range(md)])
-    r = embed_map_tensor(InterMap(s), 1 if symmetry == "sym" else -1)
-    equation = _equation_report(double, r, eq_ids)
-    return LiftResult(double, r, equation, rep)
+        sc[op] = Tensor3.from_entries((k, k, k), entries)
+    image = ClusterAlgebra(Level.of(2 * level), k, sc)
+    pulled = Bimodule(m.level, k, m.module_dim,
+                      {op: tuple(apply_action(m, "l", op, w.col(al)) for al in range(k))
+                       for op in m.level.ops},
+                      {op: tuple(apply_action(m, "r", op, w.col(al)) for al in range(k))
+                       for op in m.level.ops})
+    _, module = restrict_bimodule(image, pulled,
+                                  "embed-assoc" if level == 1 else "embed-dend")
+    s = Matrix.from_cols([solve_consistent(w, t.column(j))
+                          for j in range(m.module_dim)])
+    return lift_o_operator(image, module, InterMap(s),
+                           "sym" if level == 1 else "skew")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from clusteralg.bimodules import (PreconditionFailed, dual_bimodule,
 from clusteralg.core import (LevelError, check_axioms, algebra_from_entries,
                              zero_algebra)
 from clusteralg.bundle import serialize_algebra, serialize_tensor2
-from clusteralg.linalg import Matrix, Tensor3, format_rational
+from clusteralg.linalg import DimensionMismatch, Matrix, Tensor3, format_rational
 from clusteralg.operators import InterMap
 from clusteralg.yangbaxter import (Tensor2, aybe_as_o_operator,
                                    canonical_double_solution, check_aybe,
@@ -516,3 +516,9 @@ def test_image_lift_golden(case):
            "equation_report": _violation_rows(res.equation_report),
            "operator_report": _violation_rows(res.operator_report)}
     assert got == GOLDEN_IMAGE_LIFTS[case]
+
+
+def test_image_lift_rank_zero(trunc3):
+    with pytest.raises(ValueError, match="positive rank") as exc:
+        image_double_solution(trunc3, regular_bimodule(trunc3), InterMap.zero(3, 3))
+    assert not isinstance(exc.value, DimensionMismatch)
