@@ -13,8 +13,10 @@ each a name -> object map:
                 "symmetry": "skew"|"sym"|"none"?}
     forms      {"dim", "entries": [[i, j, "p/q"]], "algebra": name?}
 
-Omitted entries are zero; rationals are strings "p" or "p/q"; basis
-indices are 0-based and must lie in 0..dim-1.  A declared tensor
+Omitted entries are zero; rationals are strings "p" or "p/q"; levels,
+dims and basis indices are JSON integers (booleans and floats are
+refused), indices are 0-based and must lie in 0..dim-1, and no two
+entries of an object may name the same position.  A declared tensor
 symmetry is verified at parse time, and all name cross-references must
 resolve.  Serialisation is canonical (sorted entries and keys) so
 identical objects give byte-identical documents.
@@ -49,12 +51,27 @@ def _rat(value) -> object:
         raise BundleError(str(exc)) from None
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; booleans and floats are refused, not coerced."""
+    if type(value) is not int:
+        raise BundleError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _index(entry, value, dim: int) -> int:
-    """One basis index of an entry, checked to lie in 0..dim-1."""
-    i = int(value)
-    if not 0 <= i < dim:
-        raise BundleError(f"entry {entry!r}: index {i} is outside 0..{dim - 1}")
-    return i
+    """One basis index of an entry: an integer in 0..dim-1."""
+    if type(value) is not int or not 0 <= value < dim:
+        _int(value, f"entry {entry!r}: index")
+        raise BundleError(f"entry {entry!r}: index {value} is outside 0..{dim - 1}")
+    return value
+
+
+def _first(seen: set, entry, key) -> None:
+    """Record an entry's position; a second entry for it is refused."""
+    if key in seen:
+        raise BundleError(f"entry {entry!r}: duplicate of an earlier entry "
+                          "at the same position")
+    seen.add(key)
 
 
 def serialize_algebra(a: ClusterAlgebra) -> dict:
@@ -65,9 +82,15 @@ def serialize_algebra(a: ClusterAlgebra) -> dict:
 
 def parse_algebra(doc: dict) -> ClusterAlgebra:
     try:
-        rows = [(op, int(i), int(j), int(k), _rat(v))
-                for op, i, j, k, v in doc["sc"]]
-        return algebra_from_entries(int(doc["level"]), int(doc["dim"]), rows)
+        dim = _int(doc["dim"], "dim")
+        rows, seen = [], set()
+        for entry in doc["sc"]:
+            op, i, j, k, v = entry
+            row = (op, _index(entry, i, dim), _index(entry, j, dim),
+                   _index(entry, k, dim))
+            _first(seen, entry, row)
+            rows.append((*row, _rat(v)))
+        return algebra_from_entries(_int(doc["level"], "level"), dim, rows)
     except BundleError:
         raise
     except Exception as exc:
@@ -83,13 +106,16 @@ def serialize_bimodule(m: Bimodule) -> dict:
 
 def parse_bimodule(doc: dict) -> Bimodule:
     try:
-        d, md = int(doc["algebra_dim"]), int(doc["module_dim"])
-        rows = []
+        d = _int(doc["algebra_dim"], "algebra_dim")
+        md = _int(doc["module_dim"], "module_dim")
+        rows, seen = [], set()
         for entry in doc.get("entries", []):
             side, op, i, r, c, v = entry
-            rows.append((side, op, _index(entry, i, d), _index(entry, r, md),
-                         _index(entry, c, md), _rat(v)))
-        return bimodule_from_entries(int(doc["level"]), d, md, rows)
+            row = (side, op, _index(entry, i, d), _index(entry, r, md),
+                   _index(entry, c, md))
+            _first(seen, entry, row)
+            rows.append((*row, _rat(v)))
+        return bimodule_from_entries(_int(doc["level"], "level"), d, md, rows)
     except BundleError:
         raise
     except Exception as exc:
@@ -104,12 +130,9 @@ def serialize_intermap(t: InterMap) -> dict:
 
 def parse_intermap(doc: dict) -> InterMap:
     try:
-        rows_n, cols_n = int(doc["target_dim"]), int(doc["source_dim"])
-        buf = [[0] * cols_n for _ in range(rows_n)]
-        for entry in doc.get("entries", []):
-            r, c, v = entry
-            buf[_index(entry, r, rows_n)][_index(entry, c, cols_n)] = _rat(v)
-        return InterMap(Matrix(buf))
+        rows_n = _int(doc["target_dim"], "target_dim")
+        cols_n = _int(doc["source_dim"], "source_dim")
+        return InterMap(_parse_entries(doc, rows_n, cols_n))
     except BundleError:
         raise
     except Exception as exc:
@@ -120,13 +143,21 @@ def _grid_entries(mat: Matrix) -> list:
     return sorted([i, j, format_rational(v)] for i, j, v in mat.nonzero())
 
 
-def _parse_grid(doc: dict) -> Matrix:
-    dim = int(doc["dim"])
-    buf = [[0] * dim for _ in range(dim)]
+def _parse_entries(doc: dict, rows_n: int, cols_n: int) -> Matrix:
+    """A matrix from [[row, col, "p/q"], ...]; omitted entries are zero."""
+    buf = [[0] * cols_n for _ in range(rows_n)]
+    seen: set = set()
     for entry in doc.get("entries", []):
-        i, j, v = entry
-        buf[_index(entry, i, dim)][_index(entry, j, dim)] = _rat(v)
+        r, c, v = entry
+        r, c = _index(entry, r, rows_n), _index(entry, c, cols_n)
+        _first(seen, entry, (r, c))
+        buf[r][c] = _rat(v)
     return Matrix(buf)
+
+
+def _parse_grid(doc: dict) -> Matrix:
+    dim = _int(doc["dim"], "dim")
+    return _parse_entries(doc, dim, dim)
 
 
 def serialize_tensor2(t: Tensor2, symmetry: str | None = None) -> dict:

@@ -82,7 +82,7 @@ def _context_algebra(bundle: Bundle, kind: str, name: str, flag: str | None):
     if ref is None:
         raise BundleError(f"{kind}/{name} needs an algebra: pass --algebra or "
                           "embed an \"algebra\" reference")
-    return bundle.algebras[ref]
+    return bundle.find(ref, "algebras")[1]
 
 
 _EQ_CHECKERS = {"aybe": (1, check_aybe), "d": (2, check_d_equation),
@@ -102,7 +102,7 @@ def _cmd_check(args) -> int:
         alg = _context_algebra(bundle, kind, args.name, args.algebra)
         bim_name = args.bimodule or bundle.ref(kind, args.name, "bimodule")
         if bim_name:
-            rep = is_o_operator(alg, bundle.bimodules[bim_name], obj)
+            rep = is_o_operator(alg, bundle.find(bim_name, "bimodules")[1], obj)
         else:
             rep = is_rota_baxter(alg, obj)
         return _print_report(args.name, rep, args.json)
@@ -159,7 +159,24 @@ def _resolve_bimodule(bundle: Bundle, alg, spec: str):
         return regular_bimodule(alg)
     if spec == "dual-regular":
         return dual_bimodule(alg, regular_bimodule(alg))
-    return bundle.bimodules[spec]
+    return bundle.find(spec, "bimodules")[1]
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a temporary file next to path, then rename it over path, so
+    that a reader sees the old bundle or the new one and never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise BundleError(f"cannot write bundle: {exc}") from exc
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise BundleError(f"cannot write bundle: {exc}") from exc
 
 
 def _cmd_derive(args) -> int:
@@ -174,10 +191,13 @@ def _cmd_derive(args) -> int:
             raise BundleError(f"{construction} takes {n} argument(s), got {len(extra)}")
         return extra
 
+    def get(section: str, obj_name: str):
+        return bundle.find(obj_name, section)[1]
+
     out: dict[str, dict] = {}
     if construction == "project":
         a_name, target = need(2)
-        alg = bundle.algebras[a_name]
+        alg = get("algebras", a_name)
         if target not in projection_targets(int(alg.level)):
             raise LevelError(f"no projection {target!r} from level {int(alg.level)}; "
                              f"valid: {projection_targets(int(alg.level))}")
@@ -189,7 +209,7 @@ def _cmd_derive(args) -> int:
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "dual-bimodule":
         a_name, m_name = need(2)
-        alg = bundle.algebras[a_name]
+        alg = get("algebras", a_name)
         result = dual_bimodule(alg, _resolve_bimodule(bundle, alg, m_name))
         if verify:
             rep = check_bimodule(alg, result)
@@ -200,59 +220,59 @@ def _cmd_derive(args) -> int:
         out["bimodules"] = {name: doc}
     elif construction == "semidirect":
         a_name, m_name = need(2)
-        alg = bundle.algebras[a_name]
+        alg = get("algebras", a_name)
         result = semidirect_sum(alg, _resolve_bimodule(bundle, alg, m_name),
                                 check=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "induce":
         a_name, m_name, t_name = need(3)
-        alg = bundle.algebras[a_name]
+        alg = get("algebras", a_name)
         result = induce_on_module(alg, _resolve_bimodule(bundle, alg, m_name),
-                                  bundle.maps[t_name], check=True, verify=verify)
+                                  get("maps", t_name), check=True, verify=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "rb-finer":
         a_name, r_name = need(2)
-        result = rb_finer(bundle.algebras[a_name], bundle.maps[r_name],
+        result = rb_finer(get("algebras", a_name), get("maps", r_name),
                           verify=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "rb-pair":
         a_name, r1, r2 = need(3)
-        result = rb_pair_quadri(bundle.algebras[a_name], bundle.maps[r1],
-                                bundle.maps[r2], verify=verify)
+        result = rb_pair_quadri(get("algebras", a_name), get("maps", r1),
+                                get("maps", r2), verify=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "rb-triple":
         a_name, r1, r2, r3 = need(4)
-        result = rb_triple_octo(bundle.algebras[a_name], bundle.maps[r1],
-                                bundle.maps[r2], bundle.maps[r3], verify=verify)
+        result = rb_triple_octo(get("algebras", a_name), get("maps", r1),
+                                get("maps", r2), get("maps", r3), verify=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "compatible":
         a_name, m_name, t_name = need(3)
-        alg = bundle.algebras[a_name]
+        alg = get("algebras", a_name)
         result = compatible_from_invertible(
-            alg, _resolve_bimodule(bundle, alg, m_name), bundle.maps[t_name],
+            alg, _resolve_bimodule(bundle, alg, m_name), get("maps", t_name),
             verify=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "finer-from-form":
         a_name, f_name = need(2)
-        result = finer_from_form(bundle.algebras[a_name], bundle.forms[f_name],
+        result = finer_from_form(get("algebras", a_name), get("forms", f_name),
                                  verify=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "dual-product":
         a_name, r_name = need(2)
-        result = induce_dual_product(bundle.algebras[a_name],
-                                     bundle.tensors[r_name], verify=verify)
+        result = induce_dual_product(get("algebras", a_name),
+                                     get("tensors", r_name), verify=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "double-product":
         a_name, dual_name = need(2)
-        result = double_product(bundle.algebras[a_name],
-                                bundle.algebras[dual_name],
+        result = double_product(get("algebras", a_name),
+                                get("algebras", dual_name),
                                 args.variant or "frobenius", verify=verify)
         out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "canonical-solution":
         (a_name,) = need(1)
         if not args.variant:
             raise BundleError("canonical-solution needs --variant")
-        lift = canonical_double_solution(bundle.algebras[a_name], args.variant)
+        lift = canonical_double_solution(get("algebras", a_name), args.variant)
         if verify and not lift.equation_report.ok:
             raise VerificationFailed("canonical tensor fails its equation",
                                      lift.equation_report)
@@ -265,9 +285,9 @@ def _cmd_derive(args) -> int:
         a_name, m_name, t_name = need(3)
         if args.symmetry not in ("skew", "sym"):
             raise BundleError("lift needs --symmetry skew|sym")
-        alg = bundle.algebras[a_name]
+        alg = get("algebras", a_name)
         lift = lift_o_operator(alg, _resolve_bimodule(bundle, alg, m_name),
-                               bundle.maps[t_name], args.symmetry)
+                               get("maps", t_name), args.symmetry)
         if verify and not (lift.equation_report.ok and lift.operator_report.ok):
             rep = Report(lift.equation_report.violations
                          + lift.operator_report.violations)
@@ -289,7 +309,7 @@ def _cmd_derive(args) -> int:
         for section, objects in out.items():
             doc.setdefault(section, {}).update(objects)
         bundle_mod.parse_bundle(doc)  # round-trip check before writing
-        path.write_text(dumps(doc), encoding="utf-8")
+        _write_atomic(path, dumps(doc))
         if not args.json:
             print(f"wrote {sum(len(v) for v in out.values())} object(s) to {path}")
     if args.json or not args.out:

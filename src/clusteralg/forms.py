@@ -18,6 +18,7 @@ B(x + a*, y + b*) = <x, b*> + <a*, y>, as required.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping
 
 from .bimodules import PreconditionFailed, dual_bimodule, regular_bimodule
@@ -132,6 +133,8 @@ _FORM_CONDITIONS: dict[int, dict[str, tuple]] = {
     8: {},
 }
 
+_VARS = {"x": 0, "y": 1, "z": 2}
+
 _COMPOSITES: dict[int, dict[str, tuple[str, ...]]] = {
     1: {},
     2: {"dend_invariant": ("dend_inv_succ", "dend_inv_prec")},
@@ -153,35 +156,36 @@ class FormClassification:
         return self.flags[name]
 
 
+def _form_term(bm: Matrix, t: Tensor3, product_left: bool,
+               a: int, b: int, c: int) -> Fraction:
+    """B(e_a op e_b, e_c) if product_left, else B(e_a, e_b op e_c), where
+    t holds the structure constants of op and bm the grid of B."""
+    if product_left:
+        return sum((v * bm[m, c] for m, v in enumerate(t.fibre(a, b)) if v),
+                   Fraction(0))
+    return sum((v * bm[a, m] for m, v in enumerate(t.fibre(b, c)) if v),
+               Fraction(0))
+
+
 def _condition_holds(a: ClusterAlgebra, b: BilinearForm, terms) -> bool:
-    d = a.dim
     bm = b.matrix
     tensors: dict[str, Tensor3] = {}
-
-    def tens(op: str) -> Tensor3:
+    resolved = []
+    for sign, term in terms:
+        if term[0] == "pk":
+            _, op, va, vb, vc = term
+        else:
+            _, va, op, vb, vc = term
         if op not in tensors:
             tensors[op] = derived_op(a, op)
-        return tensors[op]
-
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                idx = {"x": i, "y": j, "z": k}
-                total = Fraction(0)
-                for sign, term in terms:
-                    if term[0] == "pk":
-                        _, op, va, vb, vc = term
-                        fib = tens(op).fibre(idx[va], idx[vb])
-                        val = sum((c * bm[m, idx[vc]] for m, c in enumerate(fib) if c),
-                                  Fraction(0))
-                    else:
-                        _, va, op, vb, vc = term
-                        fib = tens(op).fibre(idx[vb], idx[vc])
-                        val = sum((c * bm[idx[va], m] for m, c in enumerate(fib) if c),
-                                  Fraction(0))
-                    total += sign * val
-                if total:
-                    return False
+        resolved.append((sign, tensors[op], term[0] == "pk",
+                         _VARS[va], _VARS[vb], _VARS[vc]))
+    for triple in product(range(a.dim), repeat=3):
+        total = Fraction(0)
+        for sign, t, left, va, vb, vc in resolved:
+            total += sign * _form_term(bm, t, left, triple[va], triple[vb], triple[vc])
+        if total:
+            return False
     return True
 
 
@@ -293,22 +297,15 @@ def finer_form_identities(a: ClusterAlgebra, b: BilinearForm,
     for op, (pattern, coarse_op, sign) in _FINER_IDENTITIES[int(a.level)].items():
         new_t = finer.sc[op]
         coarse_t = derived_op(a, coarse_op)
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = sum((c * bm[m, k] for m, c in enumerate(new_t.fibre(i, j)) if c),
-                              Fraction(0))
-                    if pattern == "A":
-                        rhs = sum((c * bm[i, m]
-                                   for m, c in enumerate(coarse_t.fibre(j, k)) if c),
-                                  Fraction(0))
-                    else:
-                        rhs = sum((c * bm[j, m]
-                                   for m, c in enumerate(coarse_t.fibre(k, i)) if c),
-                                  Fraction(0))
-                    diff = lhs - sign * rhs
-                    if diff:
-                        violations.append(Violation(f"finer-{op}", (i, j, k), (diff,)))
+        for i, j, k in product(range(d), repeat=3):
+            lhs = _form_term(bm, new_t, True, i, j, k)
+            if pattern == "A":
+                rhs = _form_term(bm, coarse_t, False, i, j, k)
+            else:
+                rhs = _form_term(bm, coarse_t, False, j, k, i)
+            diff = lhs - sign * rhs
+            if diff:
+                violations.append(Violation(f"finer-{op}", (i, j, k), (diff,)))
     return Report(tuple(violations))
 
 

@@ -9,6 +9,7 @@ from clusteralg.bundle import dumps, parse_bundle
 from clusteralg.catalog import (CatalogCorrupt, SplitMix64, UnknownEntry,
                                 catalog_bundle)
 from clusteralg.core import check_axioms
+from clusteralg.linalg import Matrix
 from clusteralg.operators import is_rota_baxter
 
 import oracles
@@ -83,6 +84,15 @@ def test_random_tensor2_determinism_and_parity():
         catalog.random_tensor2(3, "weird", 0)
 
 
+def test_random_invertible_tensor2_skips_only_singular(monkeypatch):
+    def broken(self):
+        raise ZeroDivisionError("not a singularity report")
+
+    monkeypatch.setattr(Matrix, "inverse", broken)
+    with pytest.raises(ZeroDivisionError):
+        catalog.random_invertible_tensor2(4, "sym", 0)
+
+
 def test_random_values_are_small_rationals():
     rng = SplitMix64(5)
     for _ in range(200):
@@ -93,8 +103,9 @@ def test_random_values_are_small_rationals():
 
 def test_shipped_bundle_matches_programmatic_catalog():
     data = Path(__file__).resolve().parents[1] / "src/clusteralg/data/catalog.json"
+    # byte for byte: `clusteralg ... catalog` reads this file, not the build
+    assert data.read_bytes() == dumps(catalog_bundle()).encode("utf-8")
     on_disk = json.loads(data.read_text(encoding="utf-8"))
-    assert dumps(on_disk) == dumps(catalog_bundle())
     parsed = parse_bundle(on_disk)
     for name in catalog.MANDATORY:
         entry = catalog.load(name)

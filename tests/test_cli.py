@@ -210,3 +210,75 @@ def test_classify_missing_name_exit_two(capsys):
     assert code == 2 and "no algebra named 'nosuch' in the bundle" in err
     code, _, err = run(capsys, "classify", "catalog", "nil2", "nosuch")
     assert code == 2 and "no form named 'nosuch' in the bundle" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "catalog", "int3", "--algebra", "nosuch"), "no algebra named"),
+    (("check", "catalog", "int3", "--algebra", "trunc3", "--bimodule", "nosuch"),
+     "no bimodule named"),
+    (("derive", "catalog", "semidirect", "nil2", "nosuch"), "no bimodule named"),
+    (("derive", "catalog", "rb-finer", "nosuch", "int3"), "no algebra named"),
+    (("derive", "catalog", "rb-finer", "trunc3", "nosuch"), "no map named"),
+])
+def test_missing_reference_names_the_object(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{message} 'nosuch' in the bundle" in err
+
+
+_NIL2 = catalog.catalog_bundle()["algebras"]["nil2"]
+
+
+@pytest.mark.parametrize("section, obj, message", [
+    # JSON booleans and floats are not coerced into dims and indices
+    ("algebras", {"level": 1, "dim": 2.7, "sc": []}, "dim 2.7 is not an integer"),
+    ("algebras", {"level": True, "dim": 2, "sc": []}, "level True is not an integer"),
+    ("tensors", {"dim": 2, "entries": [[True, 0, "1"]]},
+     "entry [True, 0, '1']: index True is not an integer"),
+    ("maps", {"source_dim": 2, "target_dim": 2, "entries": [[0, 1.0, "1"]]},
+     "entry [0, 1.0, '1']: index 1.0 is not an integer"),
+    # a second entry at the same position is refused, not last-write-wins
+    ("algebras", dict(_NIL2, sc=_NIL2["sc"] + [["star", 0, 0, 0, "2"]]),
+     "entry ['star', 0, 0, 0, '2']: duplicate"),
+    ("bimodules", {"level": 1, "algebra_dim": 2, "module_dim": 1,
+                   "entries": [["l", "star", 0, 0, 0, "1"], ["l", "star", 0, 0, 0, "1"]]},
+     "entry ['l', 'star', 0, 0, 0, '1']: duplicate"),
+    ("maps", {"source_dim": 2, "target_dim": 2, "entries": [[0, 0, "1"], [0, 0, "2"]]},
+     "entry [0, 0, '2']: duplicate"),
+    ("tensors", {"dim": 2, "entries": [[1, 0, "1"], [1, 0, "0"]]},
+     "entry [1, 0, '0']: duplicate"),
+    ("forms", {"dim": 2, "entries": [[0, 1, "1"], [0, 1, "1"]]},
+     "entry [0, 1, '1']: duplicate"),
+])
+def test_loose_bundle_entry_exit_two(capsys, tmp_path, section, obj, message):
+    if section != "algebras":
+        obj = dict(obj, algebra="nil2")
+    doc = {"field": "Q", "algebras": {"nil2": _NIL2}}
+    doc.setdefault(section, {})["bad"] = obj
+    path = tmp_path / "loose.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path), "bad")
+    assert code == 2
+    assert f"{section}/bad: {message}" in err
+
+
+def test_derive_out_replaces_the_bundle_in_one_step(capsys, tmp_path, catalog_path,
+                                                     monkeypatch):
+    out_path = tmp_path / "derived.json"
+    derive = ("derive", str(catalog_path), "rb-finer", "trunc3", "int3", "--out")
+    assert run(capsys, *derive, str(out_path))[0] == 0
+    before = out_path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, _, err = run(capsys, *derive, str(out_path), "--name", "again")
+    assert code == 2 and "cannot write bundle" in err
+    # the old bundle is untouched and no temporary file is left behind
+    assert out_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["catalog_copy.json",
+                                                          "derived.json"]
+    monkeypatch.undo()
+    code, _, err = run(capsys, *derive, str(tmp_path / "nodir" / "out.json"))
+    assert code == 2 and "cannot write bundle" in err
