@@ -14,8 +14,8 @@ each a name -> object map:
     forms      {"dim", "entries": [[i, j, "p/q"]], "algebra": name?}
 
 Omitted entries are zero; rationals are strings "p" or "p/q"; levels,
-dims and basis indices are JSON integers (booleans and floats are
-refused), indices are 0-based and must lie in 0..dim-1, and no two
+dims and basis indices are non-negative JSON integers (booleans, floats
+and negatives are refused), indices are 0-based and must lie in 0..dim-1, and no two
 entries of an object may name the same position.  A declared tensor
 symmetry is verified at parse time, and all name cross-references must
 resolve.  Serialisation is canonical (sorted entries and keys) so
@@ -52,16 +52,16 @@ def _rat(value) -> object:
 
 
 def _int(value, what: str) -> int:
-    """A JSON integer; booleans and floats are refused, not coerced."""
-    if type(value) is not int:
-        raise BundleError(f"{what} {value!r} is not an integer")
+    """A JSON integer >= 0; booleans, floats and negatives are refused."""
+    if type(value) is not int or value < 0:
+        raise BundleError(f"{what} {value!r} is not a non-negative integer")
     return value
 
 
 def _index(entry, value, dim: int) -> int:
     """One basis index of an entry: an integer in 0..dim-1."""
     if type(value) is not int or not 0 <= value < dim:
-        _int(value, f"entry {entry!r}: index")
+        _int(value, f"entry {entry!r}: index")  # raises unless an integer >= 0
         raise BundleError(f"entry {entry!r}: index {value} is outside 0..{dim - 1}")
     return value
 

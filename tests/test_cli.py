@@ -230,13 +230,19 @@ _NIL2 = catalog.catalog_bundle()["algebras"]["nil2"]
 
 
 @pytest.mark.parametrize("section, obj, message", [
-    # JSON booleans and floats are not coerced into dims and indices
-    ("algebras", {"level": 1, "dim": 2.7, "sc": []}, "dim 2.7 is not an integer"),
-    ("algebras", {"level": True, "dim": 2, "sc": []}, "level True is not an integer"),
+    # JSON booleans and floats are not coerced into levels, dims and indices
+    ("algebras", {"level": 1, "dim": 2.7, "sc": []},
+     "dim 2.7 is not a non-negative integer"),
+    ("algebras", {"level": True, "dim": 2, "sc": []},
+     "level True is not a non-negative integer"),
     ("tensors", {"dim": 2, "entries": [[True, 0, "1"]]},
-     "entry [True, 0, '1']: index True is not an integer"),
+     "entry [True, 0, '1']: index True is not a non-negative integer"),
     ("maps", {"source_dim": 2, "target_dim": 2, "entries": [[0, 1.0, "1"]]},
-     "entry [0, 1.0, '1']: index 1.0 is not an integer"),
+     "entry [0, 1.0, '1']: index 1.0 is not a non-negative integer"),
+    # nor is a negative dim read as an empty range
+    ("tensors", {"dim": -1, "entries": []}, "dim -1 is not a non-negative integer"),
+    ("maps", {"source_dim": -3, "target_dim": 2, "entries": []},
+     "source_dim -3 is not a non-negative integer"),
     # a second entry at the same position is refused, not last-write-wins
     ("algebras", dict(_NIL2, sc=_NIL2["sc"] + [["star", 0, 0, 0, "2"]]),
      "entry ['star', 0, 0, 0, '2']: duplicate"),
