@@ -169,16 +169,13 @@ def _form_term(bm: Matrix, t: Tensor3, product_left: bool,
 
 def _condition_holds(a: ClusterAlgebra, b: BilinearForm, terms) -> bool:
     bm = b.matrix
-    tensors: dict[str, Tensor3] = {}
     resolved = []
     for sign, term in terms:
         if term[0] == "pk":
             _, op, va, vb, vc = term
         else:
             _, va, op, vb, vc = term
-        if op not in tensors:
-            tensors[op] = derived_op(a, op)
-        resolved.append((sign, tensors[op], term[0] == "pk",
+        resolved.append((sign, derived_op(a, op), term[0] == "pk",
                          _VARS[va], _VARS[vb], _VARS[vc]))
     for triple in product(range(a.dim), repeat=3):
         total = Fraction(0)
