@@ -210,8 +210,116 @@ def check_json(capsys, tmp_path, doc: dict, name: str) -> tuple[int, str]:
 # whose discrepancy is the negated axiom defect; level 2 hits 3.1.2/3/5/6/8/9
 # off the diagonal, whose witness pair fills the algebra slots in reverse.
 # In "level1-least-c" the identity fails on both module basis vectors and
-# only the first one is reported.
+# only the first one is reported; "level1-mixed-denominators" has actions
+# with denominators 2 and 3 over an integer algebra.
 GOLDEN_BIMODULES = {
+    "level1-mixed-denominators": (
+        "ut2", 2,
+        [["l", "star", 0, 0, 0, "1/2"], ["l", "star", 1, 0, 1, "1/2"],
+         ["l", "star", 2, 1, 1, "2/3"], ["r", "star", 2, 1, 0, "-3/2"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "1/4",
+        "0"
+      ],
+      "identity": "2.1.1-1",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "1/4",
+        "0"
+      ],
+      "identity": "2.1.1-1",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "1/6",
+        "0"
+      ],
+      "identity": "2.1.1-1",
+      "witness": [
+        1,
+        2,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "2/9"
+      ],
+      "identity": "2.1.1-1",
+      "witness": [
+        2,
+        2,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-3/2"
+      ],
+      "identity": "2.1.1-2",
+      "witness": [
+        2,
+        2,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "3/4"
+      ],
+      "identity": "2.1.1-3",
+      "witness": [
+        0,
+        2,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-3/4",
+        "0"
+      ],
+      "identity": "2.1.1-3",
+      "witness": [
+        1,
+        2,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1"
+      ],
+      "identity": "2.1.1-3",
+      "witness": [
+        2,
+        2,
+        0
+      ]
+    }
+  ]
+}
+"""),
     "level1": (
         "nil2", 2,
         [["l", "star", 1, 1, 0, "-1"], ["r", "star", 0, 0, 0, "1"],

@@ -13,6 +13,7 @@ from clusteralg.linalg import Matrix, Tensor3
 
 import oracles
 from conftest import mutate_algebra
+from test_bimodules import check_json
 
 ALGEBRA_ENTRIES = ("zero_2", "zero_3", "nil2", "trunc3", "ut2",
                    "dend_from_rb_nil2", "dend_from_int3",
@@ -178,3 +179,378 @@ def test_opposite_check(nil2, ut2):
     assert opposite_check(zero_algebra(1, 3)).ok
     with pytest.raises(Exception):
         opposite(zero_algebra(2, 2))
+
+
+# Failing algebras with their exact `check --json` output: (structure
+# constants, stdout).  The constants mix the denominators 2, 3 and 7, so
+# every discrepancy is a non-integer rational reduced to lowest terms.
+GOLDEN_AXIOMS = {
+    "level1": (
+        [["star", 0, 0, 0, "1/2"], ["star", 0, 1, 1, "2/3"], ["star", 1, 0, 0, "5/7"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "-1/9"
+      ],
+      "identity": "assoc",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "5/42",
+        "0"
+      ],
+      "identity": "assoc",
+      "witness": [
+        0,
+        1,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "10/21"
+      ],
+      "identity": "assoc",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-25/49",
+        "0"
+      ],
+      "identity": "assoc",
+      "witness": [
+        1,
+        1,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "level2": (
+        [["succ", 0, 0, 0, "1/2"], ["prec", 0, 1, 1, "2/3"], ["succ", 1, 1, 0, "-5/7"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "-4/9"
+      ],
+      "identity": "2.1.5-1",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "1/3"
+      ],
+      "identity": "2.1.5-2",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "10/21",
+        "0"
+      ],
+      "identity": "2.1.5-2",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-10/21"
+      ],
+      "identity": "2.1.5-2",
+      "witness": [
+        1,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-5/42",
+        "0"
+      ],
+      "identity": "2.1.5-3",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-5/14",
+        "0"
+      ],
+      "identity": "2.1.5-3",
+      "witness": [
+        1,
+        1,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "level4": (
+        [["se", 0, 0, 1, "1/2"], ["nw", 1, 0, 1, "2/3"], ["ne", 0, 1, 0, "5/7"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "4/9"
+      ],
+      "identity": "3.4.1-1",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-10/21"
+      ],
+      "identity": "3.4.1-1",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-10/21",
+        "0"
+      ],
+      "identity": "3.4.1-2",
+      "witness": [
+        0,
+        1,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-5/14",
+        "0"
+      ],
+      "identity": "3.4.1-3",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "25/49",
+        "0"
+      ],
+      "identity": "3.4.1-3",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "1/3"
+      ],
+      "identity": "3.4.2-2",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-5/14"
+      ],
+      "identity": "3.4.2-3",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "5/14"
+      ],
+      "identity": "3.4.3-3",
+      "witness": [
+        0,
+        1,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "level8": (
+        [["se1", 0, 0, 1, "1/2"], ["nw2", 1, 1, 0, "2/3"], ["ne1", 0, 1, 1, "-5/7"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "5/14"
+      ],
+      "identity": "4.4.1-3",
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-25/49"
+      ],
+      "identity": "4.4.1-3",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-1/3"
+      ],
+      "identity": "4.4.2-2",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/3",
+        "0"
+      ],
+      "identity": "4.4.4-1",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "10/21",
+        "0"
+      ],
+      "identity": "4.4.4-1",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "-10/21"
+      ],
+      "identity": "4.4.4-3",
+      "witness": [
+        1,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "0",
+        "1/3"
+      ],
+      "identity": "4.4.6-3",
+      "witness": [
+        1,
+        1,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-10/21",
+        "0"
+      ],
+      "identity": "4.4.7-2",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "1/3",
+        "0"
+      ],
+      "identity": "4.4.8-2",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    }
+  ]
+}
+"""),
+
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_AXIOMS))
+def test_check_json_golden(case, capsys, tmp_path):
+    sc, expected = GOLDEN_AXIOMS[case]
+    doc = {"field": "Q", "algebras": {"a": {"level": int(case[5:]), "dim": 2, "sc": sc}}}
+    assert check_json(capsys, tmp_path, doc, "a") == (1, expected)

@@ -459,3 +459,122 @@ def test_check_json_golden(case, capsys, tmp_path):
     if "bimodule" in map_doc:
         doc["bimodules"] = {"col": _COLUMN_MODULE}
     assert check_json(capsys, tmp_path, doc, "t") == (1, expected)
+
+
+# O-operators whose map's denominators (3, 5, 7) differ from those of the
+# algebra and bimodule (2, 3), with their exact `check --json` output:
+# (algebra document, bimodule document or None, map document, stdout).
+# The algebras are catalog entries with every constant halved.
+_HALF_NIL2 = {"level": 1, "dim": 2,
+              "sc": [["star", 0, 0, 0, "1/2"], ["star", 0, 1, 1, "1/2"],
+                     ["star", 1, 0, 1, "1/2"]]}
+_HALF_UT2 = {"level": 1, "dim": 3,
+             "sc": [["star", 0, 0, 0, "1/2"], ["star", 0, 1, 1, "1/2"],
+                    ["star", 1, 2, 1, "1/2"], ["star", 2, 2, 2, "1/2"]]}
+
+GOLDEN_MIXED_DENOMINATORS = {
+    "rota-baxter": (
+        _HALF_NIL2, None,
+        {"source_dim": 2, "target_dim": 2,
+         "entries": [[0, 1, "1/3"], [1, 0, "3/7"], [1, 1, "2/5"]]},
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "-1/7",
+        "-6/35"
+      ],
+      "identity": "2.1.3",
+      "witness": [
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/15",
+        "-2/25"
+      ],
+      "identity": "2.1.3",
+      "witness": [
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/15",
+        "-2/25"
+      ],
+      "identity": "2.1.3",
+      "witness": [
+        1,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/18",
+        "0"
+      ],
+      "identity": "2.1.3",
+      "witness": [
+        1,
+        1
+      ]
+    }
+  ]
+}
+"""),
+    "column-module": (
+        _HALF_UT2,
+        {"level": 1, "algebra_dim": 3, "module_dim": 2,
+         "entries": [["l", "star", 0, 0, 0, "1/2"], ["l", "star", 1, 0, 1, "1/2"],
+                     ["l", "star", 2, 1, 1, "2/3"]]},
+        {"source_dim": 2, "target_dim": 3,
+         "entries": [[0, 1, "3/5"], [1, 0, "1/7"], [2, 1, "-2/5"]]},
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "0",
+        "-19/490",
+        "0"
+      ],
+      "identity": "2.1.3",
+      "witness": [
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "17/50",
+        "0",
+        "-2/75"
+      ],
+      "identity": "2.1.3",
+      "witness": [
+        1,
+        1
+      ]
+    }
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_MIXED_DENOMINATORS))
+def test_check_json_golden_mixed_denominators(case, capsys, tmp_path):
+    alg, bimodule, map_doc, expected = GOLDEN_MIXED_DENOMINATORS[case]
+    doc = {"field": "Q", "algebras": {"a": alg},
+           "maps": {"t": dict(map_doc, algebra="a")}}
+    if bimodule is not None:
+        doc["bimodules"] = {"m": dict(bimodule, algebra="a")}
+        doc["maps"]["t"]["bimodule"] = "m"
+    assert check_json(capsys, tmp_path, doc, "t") == (1, expected)
