@@ -8,7 +8,10 @@ that: the bimodule identities 2.1.1-k, 3.1.k and 4.1.n-k are the level's
 axioms evaluated in A (+) V on the basis triples with one module slot.
 A violation's witness (i, j, c) names the algebra basis pair (e_i, e_j)
 of the identity and the least module basis index c at which it fails;
-its discrepancy is the V-part of lhs - rhs on v_c.  No level-8 bimodule
+its discrepancy is the V-part of lhs - rhs on v_c.  The identities run
+on the scaled integer fibres of A (+) V (``core.scaled_fibres``, one
+common denominator D for the algebra and the actions), and a reported
+discrepancy is divided back by D^2.  No level-8 bimodule
 is implemented: only the recipe exists for it, not a definition, so
 asking for one is an error.
 
@@ -26,10 +29,9 @@ from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .core import (AXIOMS, ClusterAlgebra, Level, LevelError, Report,
-                   Violation, axiom_defect, axiom_tensors, mult_operator,
-                   project)
-from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3, rat,
-                     vec_add, vec_is_zero, vec_scale)
+                   Violation, axiom_defect, mult_operator, project,
+                   scaled_fibres)
+from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, rat, vec_add
 
 
 class PreconditionFailed(ValueError):
@@ -139,7 +141,8 @@ def check_bimodule(a: ClusterAlgebra, m: Bimodule) -> Report:
         raise DimensionMismatch("algebra dim does not match bimodule")
     s = semidirect_sum(a, m, check=False)
     d, n = a.dim, s.dim
-    dops = axiom_tensors(s)
+    den, fibres = scaled_fibres(s)
+    den2 = den * den
     axioms = AXIOMS[int(a.level)]
     violations = []
     for ident, ax, slot, sign, swap in _MODULE_SLOTS[int(a.level)]:
@@ -147,11 +150,11 @@ def check_bimodule(a: ClusterAlgebra, m: Bimodule) -> Report:
             for j in range(d):
                 pair = [j, i] if swap else [i, j]
                 for c in range(d, n):
-                    diff = axiom_defect(axioms[ax], dops, n,
+                    diff = axiom_defect(axioms[ax], fibres, n,
                                         *pair[:slot], c, *pair[slot:])[d:]
-                    if not vec_is_zero(diff):
-                        violations.append(Violation(ident, (i, j, c - d),
-                                                    vec_scale(sign, diff)))
+                    if any(diff):
+                        violations.append(Violation(ident, (i, j, c - d), tuple(
+                            Fraction(sign * v, den2) for v in diff)))
                         break
     return Report(tuple(violations))
 

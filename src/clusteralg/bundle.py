@@ -15,8 +15,9 @@ each a name -> object map:
 
 Omitted entries are zero; rationals are strings "p" or "p/q"; levels,
 dims and basis indices are non-negative JSON integers (booleans, floats
-and negatives are refused), indices are 0-based and must lie in 0..dim-1, and no two
-entries of an object may name the same position.  A declared tensor
+and negatives are refused), no dim may exceed ``MAX_DIM``, indices are
+0-based and must lie in 0..dim-1, and no two entries of an object may
+name the same position.  A declared tensor
 symmetry is verified at parse time, and all name cross-references must
 resolve.  Serialisation is canonical (sorted entries and keys) so
 identical objects give byte-identical documents.
@@ -37,6 +38,13 @@ from .yangbaxter import Tensor2
 
 SECTIONS = ("algebras", "bimodules", "maps", "tensors", "forms")
 
+# The largest dim, algebra_dim, module_dim, source_dim or target_dim a
+# bundle may declare.  Objects are stored densely (an algebra holds its
+# level times dim^3 constants), so the cap is checked before anything is
+# allocated; it lies far above the dimensions the checks handle in
+# practice (desk-scale, up to a few dozen).
+MAX_DIM = 64
+
 
 class BundleError(ValueError):
     pass
@@ -55,6 +63,14 @@ def _int(value, what: str) -> int:
     """A JSON integer >= 0; booleans, floats and negatives are refused."""
     if type(value) is not int or value < 0:
         raise BundleError(f"{what} {value!r} is not a non-negative integer")
+    return value
+
+
+def _dim(doc: dict, key: str) -> int:
+    """A declared dimension: an integer in 0..MAX_DIM."""
+    value = _int(doc[key], key)
+    if value > MAX_DIM:
+        raise BundleError(f"{key} {value} exceeds the cap of {MAX_DIM}")
     return value
 
 
@@ -82,7 +98,7 @@ def serialize_algebra(a: ClusterAlgebra) -> dict:
 
 def parse_algebra(doc: dict) -> ClusterAlgebra:
     try:
-        dim = _int(doc["dim"], "dim")
+        dim = _dim(doc, "dim")
         rows, seen = [], set()
         for entry in doc["sc"]:
             op, i, j, k, v = entry
@@ -106,8 +122,8 @@ def serialize_bimodule(m: Bimodule) -> dict:
 
 def parse_bimodule(doc: dict) -> Bimodule:
     try:
-        d = _int(doc["algebra_dim"], "algebra_dim")
-        md = _int(doc["module_dim"], "module_dim")
+        d = _dim(doc, "algebra_dim")
+        md = _dim(doc, "module_dim")
         rows, seen = [], set()
         for entry in doc.get("entries", []):
             side, op, i, r, c, v = entry
@@ -130,8 +146,8 @@ def serialize_intermap(t: InterMap) -> dict:
 
 def parse_intermap(doc: dict) -> InterMap:
     try:
-        rows_n = _int(doc["target_dim"], "target_dim")
-        cols_n = _int(doc["source_dim"], "source_dim")
+        rows_n = _dim(doc, "target_dim")
+        cols_n = _dim(doc, "source_dim")
         return InterMap(_parse_entries(doc, rows_n, cols_n))
     except BundleError:
         raise
@@ -152,11 +168,11 @@ def _parse_entries(doc: dict, rows_n: int, cols_n: int) -> Matrix:
         r, c = _index(entry, r, rows_n), _index(entry, c, cols_n)
         _first(seen, entry, (r, c))
         buf[r][c] = _rat(v)
-    return Matrix(buf)
+    return Matrix(buf) if rows_n else Matrix.zeros(0, cols_n)
 
 
 def _parse_grid(doc: dict) -> Matrix:
-    dim = _int(doc["dim"], "dim")
+    dim = _dim(doc, "dim")
     return _parse_entries(doc, dim, dim)
 
 
@@ -267,7 +283,7 @@ def parse_bundle(doc: dict) -> Bundle:
                 out.refs[(section, name)] = refs
     for (section, name), refs in out.refs.items():
         for key, target in refs.items():
-            if target not in out.section(_REF_SECTION[key]):
+            if not isinstance(target, str) or target not in out.section(_REF_SECTION[key]):
                 raise BundleError(f"{section}/{name}: reference {key}={target!r} "
                                   "does not resolve")
     return out

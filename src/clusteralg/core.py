@@ -16,16 +16,23 @@ those sums associative respectively dendriform respectively quadri.
 The axiom checker evaluates every defining identity on every basis
 triple and reports exact discrepancies; identity labels such as
 "3.4.2-1" are stable ids used throughout reports and the CLI.
+
+Evaluation runs on scaled integers.  ``scaled_fibres`` takes the common
+denominator D of an algebra's constants and stores D c as sparse
+Python-int fibres (i, j) -> ((k, D c), ...), zeros dropped.  Every axiom
+is homogeneous of degree 2 in the constants, so ``axiom_defect`` yields
+D^2 times the rational defect: the zero test is exact, and only a
+reported discrepancy is divided back, as Fraction(v, D^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3, rat,
-                     vec_is_zero, vec_sub)
+from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, rat
 
 
 class SymbolInvalidAtLevel(ValueError):
@@ -338,52 +345,84 @@ AXIOMS: dict[int, tuple[tuple[str, _Term, _Term], ...]] = {
 }
 
 
-def axiom_tensors(a: ClusterAlgebra) -> dict[str, Tensor3]:
-    """Structure constants of every symbol the axioms of a's level use."""
-    syms = set()
-    for _, lhs, rhs in AXIOMS[int(a.level)]:
-        syms.update((lhs[1], lhs[2], rhs[1], rhs[2]))
-    return {sym: derived_op(a, sym) for sym in syms}
+# Sparse integer fibres: (i, j) -> ((k, c), ...) with every c nonzero.
+Fibres = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
-def _eval_term(term: _Term, dops: Mapping[str, Tensor3], d: int,
-               i: int, j: int, k: int) -> tuple[Fraction, ...]:
-    shape, outer, inner = term
-    t_out, t_in = dops[outer], dops[inner]
-    acc = [Fraction(0)] * d
-    if shape == "L":  # (e_i inner e_j) outer e_k
-        for m, c in enumerate(t_in.fibre(i, j)):
-            if c:
-                for idx, v in enumerate(t_out.fibre(m, k)):
-                    if v:
-                        acc[idx] += c * v
-    else:  # e_i outer (e_j inner e_k)
-        for m, c in enumerate(t_in.fibre(j, k)):
-            if c:
-                for idx, v in enumerate(t_out.fibre(i, m)):
-                    if v:
-                        acc[idx] += c * v
-    return tuple(acc)
+def scaled_fibres(a: ClusterAlgebra, syms: Iterable[str] | None = None
+                  ) -> tuple[int, dict[str, Fibres]]:
+    """a's common denominator D and, per symbol, D times its structure
+    constants as sparse integer fibres.
+
+    D is the lcm of the denominators of a's constants; a derived symbol's
+    fibres are sums of its parts' scaled fibres, so every entry is an
+    integer.  syms defaults to every symbol the axioms of a's level read.
+    """
+    level = int(a.level)
+    if syms is None:
+        syms = {s for _, lhs, rhs in AXIOMS[level] for s in (*lhs[1:], *rhs[1:])}
+    entries = {op: list(t.nonzero()) for op, t in a.sc.items()}
+    den = lcm(*(v.denominator for rows in entries.values() for *_, v in rows))
+    out = {}
+    for sym in syms:
+        if sym in a.sc:
+            parts = (sym,)
+        elif sym in DERIVED_SYMBOLS[level]:
+            parts = DERIVED_SYMBOLS[level][sym]
+        else:
+            raise SymbolInvalidAtLevel(f"symbol {sym!r} is not defined at level {level}")
+        acc: dict[tuple[int, int], dict[int, int]] = {}
+        for op in parts:
+            for i, j, k, v in entries[op]:
+                row = acc.setdefault((i, j), {})
+                row[k] = row.get(k, 0) + v.numerator * (den // v.denominator)
+        fib = {}
+        for ij, row in acc.items():
+            nz = tuple((k, c) for k, c in row.items() if c)
+            if nz:
+                fib[ij] = nz
+        out[sym] = fib
+    return den, out
 
 
-def axiom_defect(axiom: tuple[str, _Term, _Term], dops: Mapping[str, Tensor3],
-                 d: int, i: int, j: int, k: int) -> tuple[Fraction, ...]:
-    """lhs - rhs of one axiom on the basis triple (e_i, e_j, e_k)."""
-    _, lhs, rhs = axiom
-    return vec_sub(_eval_term(lhs, dops, d, i, j, k),
-                   _eval_term(rhs, dops, d, i, j, k))
+def axiom_defect(axiom: tuple[str, _Term, _Term], fibres: Mapping[str, Fibres],
+                 n: int, i: int, j: int, k: int) -> list[int]:
+    """lhs - rhs of one axiom on the basis triple (e_i, e_j, e_k) of an
+    n-dimensional algebra, in the scaled integers of ``scaled_fibres``
+    (D^2 times the rational defect)."""
+    acc = [0] * n
+    for sign, (shape, outer, inner) in zip((1, -1), axiom[1:]):
+        f_out, f_in = fibres[outer], fibres[inner]
+        if shape == "L":  # (e_i inner e_j) outer e_k
+            for m, c in f_in.get((i, j), ()):
+                c *= sign
+                for idx, v in f_out.get((m, k), ()):
+                    acc[idx] += c * v
+        else:  # e_i outer (e_j inner e_k)
+            for m, c in f_in.get((j, k), ()):
+                c *= sign
+                for idx, v in f_out.get((i, m), ()):
+                    acc[idx] += c * v
+    return acc
 
 
 def check_axioms(a: ClusterAlgebra) -> Report:
-    """Evaluate every defining identity of a's level on all basis triples."""
+    """Evaluate every defining identity of a's level on all basis triples.
+
+    The zero tests run on the scaled integers of ``scaled_fibres``; every
+    identity is homogeneous of degree 2 in the constants, so a defect is
+    D^2 times the rational one and is divided back only when reported.
+    """
     d = a.dim
-    dops = axiom_tensors(a)
+    den, fibres = scaled_fibres(a)
+    den2 = den * den
     violations = []
     for axiom in AXIOMS[int(a.level)]:
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    diff = axiom_defect(axiom, dops, d, i, j, k)
-                    if not vec_is_zero(diff):
-                        violations.append(Violation(axiom[0], (i, j, k), diff))
+                    diff = axiom_defect(axiom, fibres, d, i, j, k)
+                    if any(diff):
+                        violations.append(Violation(axiom[0], (i, j, k), tuple(
+                            Fraction(v, den2) for v in diff)))
     return Report(tuple(violations))

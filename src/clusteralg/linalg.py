@@ -1,10 +1,13 @@
 """Exact rational scalars, dense matrices and order-3 tensors.
 
-Everything in this package is computed over the rational field with
-``fractions.Fraction``; there is no floating point anywhere, so every
-identity check reduces to an exact zero test.  Dimensions are desk-scale
-(a handful of basis vectors), which makes dense storage and plain loops
-the right tool.
+Everything in this package is computed over the rational field; there
+is no floating point anywhere, so every identity check reduces to an
+exact zero test.  The objects here store ``fractions.Fraction`` entries
+densely, which suits building and transforming desk-scale objects.  The
+identity checkers (``core.check_axioms``, ``bimodules.check_bimodule``,
+``operators.is_o_operator``) do not evaluate in ``Fraction``: they clear
+each object's denominators once and test on sparse Python-int fibres
+(``core.scaled_fibres``), which is several times faster and as exact.
 
 Square systems are solved by fraction-free (Bareiss) Gaussian
 elimination on an integer-cleared augmented matrix, which keeps the
@@ -102,9 +105,16 @@ class Matrix:
         self.cols = len(r[0]) if r else 0
 
     # -- constructors -------------------------------------------------
+    def _keep_cols(self, cols: int) -> "Matrix":
+        """Set the column count of a matrix without rows, which its rows
+        cannot carry; returns self."""
+        if not self.rows:
+            self.cols = cols
+        return self
+
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
+        return cls([[_ZERO] * cols for _ in range(rows)])._keep_cols(cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -112,9 +122,8 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[Fraction]]) -> "Matrix":
-        if not cols:
-            return cls([])
-        return cls([[col[i] for col in cols] for i in range(len(cols[0]))])
+        n = len(cols[0]) if cols else 0
+        return cls([[col[i] for col in cols] for i in range(n)])._keep_cols(len(cols))
 
     # -- access --------------------------------------------------------
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
@@ -139,18 +148,18 @@ class Matrix:
     # -- algebra --------------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(vec_add(a, b) for a, b in zip(self._r, other._r))
+        return Matrix(vec_add(a, b) for a, b in zip(self._r, other._r))._keep_cols(self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(vec_sub(a, b) for a, b in zip(self._r, other._r))
+        return Matrix(vec_sub(a, b) for a, b in zip(self._r, other._r))._keep_cols(self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(vec_scale(Fraction(-1), row) for row in self._r)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix(vec_scale(c, row) for row in self._r)
+        return Matrix(vec_scale(c, row) for row in self._r)._keep_cols(self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -159,10 +168,10 @@ class Matrix:
         return Matrix(
             [sum((a * b for a, b in zip(row, col)), _ZERO) for col in cols]
             for row in self._r
-        )
+        )._keep_cols(other.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self._r)) if self._r else Matrix([])
+        return Matrix.from_cols(self._r) if self._r else Matrix([()] * self.cols)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:
@@ -175,7 +184,8 @@ class Matrix:
         return (self.rows, self.cols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._r == other._r
+        return (isinstance(other, Matrix) and self.cols == other.cols
+                and self._r == other._r)
 
     def __hash__(self):
         return hash(self._r)
@@ -230,7 +240,7 @@ def _bareiss_solve(a: Matrix, rhs: Matrix) -> Matrix:
             for c in range(i + 1, n):
                 s -= m[i][c] * sol[c][j]
             sol[i][j] = s / m[i][i]
-    return Matrix(sol)
+    return Matrix(sol)._keep_cols(k)
 
 
 def row_echelon_pivots(a: Matrix) -> tuple[int, ...]:

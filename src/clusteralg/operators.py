@@ -6,7 +6,11 @@ A linear map T: V -> A is an O-operator for a bimodule (l, r, V) when
 
 holds for every operation op of the algebra's level, i.e. when the graph
 {(T u, u)} is closed under every operation of the semidirect sum
-A (+) V, which is how ``is_o_operator`` checks it.  Rota-Baxter
+A (+) V, which is how ``is_o_operator`` checks it.  The check runs on
+integers: the products use the scaled fibres of A (+) V (common
+denominator D, ``core.scaled_fibres``), the graph vectors are scaled by
+T's common denominator D_T, so each defect is D D_T^3 times the rational
+one and only a reported discrepancy is divided back.  Rota-Baxter
 operators (weight 0) are the special case of the regular bimodule, and
 every O-operator transplants the algebra structure to V with twice as
 many operations; an invertible O-operator transports that structure
@@ -20,11 +24,12 @@ verify=False to skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .bimodules import (Bimodule, PreconditionFailed, apply_action,
                         regular_bimodule, semidirect_sum)
 from .core import (ClusterAlgebra, Level, LevelError, Report, Violation,
-                   check_axioms, project)
+                   check_axioms, project, scaled_fibres)
 from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3,
                      unit_vector, vec_is_zero, vec_sub)
 
@@ -96,16 +101,35 @@ def is_o_operator(a: ClusterAlgebra, m: Bimodule, t: InterMap) -> Report:
         raise DimensionMismatch("map does not fit the algebra/bimodule pair")
     s = semidirect_sum(a, m, check=False)
     d, md = a.dim, m.module_dim
-    graph = [t.column(u) + unit_vector(md, u) for u in range(md)]
+    den, fibres = scaled_fibres(s, a.level.ops)
+    # D_T times T, as sparse integer columns; graph[u] is D_T (T v_u, v_u)
+    den_t = lcm(*(v.denominator for _, _, v in t.matrix.nonzero()))
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(md)]
+    for r, c, v in t.matrix.nonzero():
+        cols[c].append((r, v.numerator * (den_t // v.denominator)))
+    graph = [cols[u] + [(d + u, den_t)] for u in range(md)]
+    divisor = den * den_t ** 3
     ids = _O_IDENTITY_IDS[int(a.level)]
     violations = []
     for op in a.level.ops:
+        fib = fibres[op]
         for i, gi in enumerate(graph):
             for j, gj in enumerate(graph):
-                p = s.bilinear(s.sc[op], gi, gj)
-                diff = vec_sub(p[:d], t(p[d:]))
-                if not vec_is_zero(diff):
-                    violations.append(Violation(ids[op], (i, j), diff))
+                # p is D D_T^2 (g_i op g_j); diff is D D_T^3 (A-part - T(V-part))
+                p = [0] * (d + md)
+                for x, xv in gi:
+                    for y, yv in gj:
+                        xy = xv * yv
+                        for k, c in fib.get((x, y), ()):
+                            p[k] += xy * c
+                diff = [den_t * v for v in p[:d]]
+                for u, v in enumerate(p[d:]):
+                    if v:
+                        for r, tv in cols[u]:
+                            diff[r] -= tv * v
+                if any(diff):
+                    violations.append(Violation(ids[op], (i, j), tuple(
+                        Fraction(v, divisor) for v in diff)))
     return Report(tuple(violations))
 
 

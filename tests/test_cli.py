@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from clusteralg import catalog, cli
-from clusteralg.bundle import dumps
+from clusteralg.bundle import MAX_DIM, dumps
 
 
 def run(capsys, *argv):
@@ -255,6 +255,19 @@ _NIL2 = catalog.catalog_bundle()["algebras"]["nil2"]
      "entry [1, 0, '0']: duplicate"),
     ("forms", {"dim": 2, "entries": [[0, 1, "1"], [0, 1, "1"]]},
      "entry [0, 1, '1']: duplicate"),
+    # no dim may exceed the cap
+    ("algebras", {"level": 1, "dim": MAX_DIM + 1, "sc": []},
+     f"dim {MAX_DIM + 1} exceeds the cap of {MAX_DIM}"),
+    ("bimodules", {"level": 1, "algebra_dim": MAX_DIM + 1, "module_dim": 1},
+     f"algebra_dim {MAX_DIM + 1} exceeds the cap"),
+    ("bimodules", {"level": 1, "algebra_dim": 2, "module_dim": MAX_DIM + 1},
+     f"module_dim {MAX_DIM + 1} exceeds the cap"),
+    ("maps", {"source_dim": MAX_DIM + 1, "target_dim": 2},
+     f"source_dim {MAX_DIM + 1} exceeds the cap"),
+    ("maps", {"source_dim": 2, "target_dim": MAX_DIM + 1},
+     f"target_dim {MAX_DIM + 1} exceeds the cap"),
+    ("tensors", {"dim": MAX_DIM + 1}, f"dim {MAX_DIM + 1} exceeds the cap"),
+    ("forms", {"dim": MAX_DIM + 1}, f"dim {MAX_DIM + 1} exceeds the cap"),
 ])
 def test_loose_bundle_entry_exit_two(capsys, tmp_path, section, obj, message):
     if section != "algebras":

@@ -22,6 +22,19 @@ def test_rational_parsing_rejects_junk():
             parse_rational(bad)
 
 
+def test_matrix_without_rows_keeps_its_column_count():
+    empty = Matrix.zeros(0, 3)
+    assert empty.shape == (0, 3)
+    assert Matrix.from_cols([(), (), ()]).shape == (0, 3)
+    assert Matrix.from_cols([]).shape == (0, 0)
+    assert empty != Matrix.zeros(0, 2)
+    assert empty.transpose().shape == (3, 0)
+    assert empty.transpose().transpose() == empty
+    assert (empty + empty).shape == (-empty).shape == empty.scale(2).shape == (0, 3)
+    assert (Matrix.zeros(0, 2) @ Matrix.zeros(2, 3)).shape == (0, 3)
+    assert (Matrix.zeros(2, 0) @ empty).shape == (2, 3)
+
+
 def test_identity_multiplication():
     m = Matrix([[1, 2], [Fraction(1, 3), 4]])
     assert Matrix.identity(2) @ m == m
