@@ -203,14 +203,19 @@ def algebra_entries(a: ClusterAlgebra) -> list[tuple[str, int, int, int, Fractio
     return out
 
 
-def derived_op(a: ClusterAlgebra, sym: str) -> Tensor3:
-    """Structure constants of a base or derived operation symbol."""
+def _parts(a: ClusterAlgebra, sym: str) -> tuple[str, ...]:
+    """The base operations whose sum a base or derived symbol denotes."""
     if sym in a.sc:
-        return a.sc[sym]
+        return (sym,)
     table = DERIVED_SYMBOLS[int(a.level)]
     if sym not in table:
         raise SymbolInvalidAtLevel(f"symbol {sym!r} is not defined at level {int(a.level)}")
-    parts = table[sym]
+    return table[sym]
+
+
+def derived_op(a: ClusterAlgebra, sym: str) -> Tensor3:
+    """Structure constants of a base or derived operation symbol."""
+    parts = _parts(a, sym)
     acc = a.sc[parts[0]]
     for name in parts[1:]:
         acc = acc + a.sc[name]
@@ -365,14 +370,8 @@ def scaled_fibres(a: ClusterAlgebra, syms: Iterable[str] | None = None
     den = lcm(*(v.denominator for rows in entries.values() for *_, v in rows))
     out = {}
     for sym in syms:
-        if sym in a.sc:
-            parts = (sym,)
-        elif sym in DERIVED_SYMBOLS[level]:
-            parts = DERIVED_SYMBOLS[level][sym]
-        else:
-            raise SymbolInvalidAtLevel(f"symbol {sym!r} is not defined at level {level}")
         acc: dict[tuple[int, int], dict[int, int]] = {}
-        for op in parts:
+        for op in _parts(a, sym):
             for i, j, k, v in entries[op]:
                 row = acc.setdefault((i, j), {})
                 row[k] = row.get(k, 0) + v.numerator * (den // v.denominator)
