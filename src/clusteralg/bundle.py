@@ -17,10 +17,10 @@ Omitted entries are zero; rationals are strings "p" or "p/q"; levels,
 dims and basis indices are non-negative JSON integers (booleans, floats
 and negatives are refused), no dim may exceed ``MAX_DIM``, indices are
 0-based and must lie in 0..dim-1, and no two entries of an object may
-name the same position.  A declared tensor
-symmetry is verified at parse time, and all name cross-references must
-resolve.  Serialisation is canonical (sorted entries and keys) so
-identical objects give byte-identical documents.
+name the same position.  A declared tensor symmetry is verified at parse
+time, and all name cross-references must resolve.  Serialisation is
+canonical (sorted entries and keys) so identical objects give
+byte-identical documents.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ SECTIONS = ("algebras", "bimodules", "maps", "tensors", "forms")
 # The largest dim, algebra_dim, module_dim, source_dim or target_dim a
 # bundle may declare.  Objects are stored densely (an algebra holds its
 # level times dim^3 constants), so the cap is checked before anything is
-# allocated; it lies far above the dimensions the checks handle in
-# practice (desk-scale, up to a few dozen).
+# allocated.  It lies well above the desk-scale dimensions the checks
+# are meant for.
 MAX_DIM = 64
 
 
