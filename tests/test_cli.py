@@ -301,3 +301,61 @@ def test_derive_out_replaces_the_bundle_in_one_step(capsys, tmp_path, catalog_pa
     monkeypatch.undo()
     code, _, err = run(capsys, *derive, str(tmp_path / "nodir" / "out.json"))
     assert code == 2 and "cannot write bundle" in err
+
+
+# The dual and double products of the Cor3.3.8 lift of dend_from_rb_nil2 as
+# `derive ... --json` prints them: the entries of GOLDEN_DUAL_PRODUCTS and
+# GOLDEN_DOUBLE_PRODUCTS in tests/test_yangbaxter.py, sorted as in a bundle.
+_DUAL_SC = [["prec", 1, 2, 0, "-1"], ["prec", 2, 2, 3, "-1"],
+            ["succ", 2, 1, 0, "-1"], ["succ", 2, 2, 3, "-1"]]
+_DOUBLE_SC = [["star", 0, 0, 1, "2"], ["star", 0, 3, 2, "1"], ["star", 0, 5, 4, "1"],
+              ["star", 0, 6, 1, "-1"], ["star", 0, 6, 7, "1"],
+              ["star", 3, 0, 2, "1"], ["star", 3, 6, 2, "-1"],
+              ["star", 5, 0, 4, "1"], ["star", 5, 6, 4, "-1"],
+              ["star", 6, 0, 1, "-1"], ["star", 6, 0, 7, "1"],
+              ["star", 6, 3, 2, "-1"], ["star", 6, 5, 4, "-1"],
+              ["star", 6, 6, 7, "-2"]]
+
+
+def _canonical_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_derive_dual_and_double_product_json_golden(capsys, tmp_path, catalog_path):
+    path = tmp_path / "canon.json"
+    assert run(capsys, "derive", str(catalog_path), "canonical-solution",
+               "dend_from_rb_nil2", "--variant", "Cor3.3.8", "--name", "canon",
+               "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "derive", str(path), "dual-product", "canon_double",
+                       "canon_tensor", "--name", "dual", "--out", str(path), "--json")
+    assert code == 0
+    assert out == _canonical_json({"field": "Q", "algebras": {
+        "dual": {"level": 2, "dim": 4, "sc": _DUAL_SC}}})
+    code, out, _ = run(capsys, "derive", str(path), "double-product", "canon_double",
+                       "dual", "--variant", "connes", "--json")
+    assert code == 0
+    assert out == _canonical_json({"field": "Q", "algebras": {
+        "derived_double_product": {"level": 1, "dim": 8, "sc": _DOUBLE_SC}}})
+
+
+@pytest.mark.parametrize("algebra, parity, seed, stderr", [
+    ("dend_from_rb_nil2", "skew", 1,
+     "error: level-2 dual product needs symmetric r\n"),
+    ("nil2", "skew", 0,
+     "error: tensor does not solve its equation\n"
+     "  violated 2.2.1 at (0, 1, 1)\n"
+     "  violated 2.2.1 at (1, 0, 1)\n"
+     "  violated 2.2.1 at (1, 1, 0)\n"),
+])
+def test_derive_dual_product_refusal_golden(capsys, tmp_path, algebra, parity,
+                                            seed, stderr):
+    from clusteralg.bundle import serialize_tensor2
+    a = catalog.load(algebra).value
+    doc = catalog.catalog_bundle()
+    doc["tensors"] = {"r": dict(serialize_tensor2(
+        catalog.random_tensor2(a.dim, parity, seed), symmetry=parity),
+        algebra=algebra)}
+    path = tmp_path / "refused.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    assert run(capsys, "derive", str(path), "dual-product", algebra, "r",
+               "--json") == (1, "", stderr)

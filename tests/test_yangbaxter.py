@@ -6,8 +6,8 @@ from clusteralg import catalog
 from clusteralg.bimodules import (PreconditionFailed, dual_bimodule,
                                   regular_bimodule, restrict_bimodule,
                                   semidirect_sum)
-from clusteralg.core import (LevelError, check_axioms, algebra_from_entries,
-                             zero_algebra)
+from clusteralg.core import (LevelError, algebra_entries, algebra_from_entries,
+                             check_axioms, zero_algebra)
 from clusteralg.bundle import serialize_algebra, serialize_tensor2
 from clusteralg.linalg import DimensionMismatch, Matrix, Tensor3, format_rational
 from clusteralg.operators import InterMap
@@ -349,6 +349,203 @@ def test_double_product_connes_with_induced_dual(dend_int3):
     assert check_axioms(big).ok and big.dim == 12
     cls = classify_form(big, canonical_cocycle_form(lift.double.dim))
     assert cls.flags["connes_cocycle"]
+
+
+def _entry_rows(a) -> tuple:
+    return tuple((op, i, j, k, format_rational(v))
+                 for op, i, j, k, v in algebra_entries(a))
+
+
+def _canonical_dual(case: str):
+    name, variant = case.split("/")
+    lift = canonical_double_solution(catalog.load(name).value, variant)
+    return lift.double, induce_dual_product(lift.double, lift.tensor)
+
+
+# The exact algebra_entries of the dual products induced by the canonical
+# solutions, "catalog entry/variant" -> rows (op, i, j, k, value), and of
+# the double products with that dual and with the zero dual,
+# "catalog entry/variant/induced|zero" -> rows.
+GOLDEN_DUAL_PRODUCTS = {
+    "dend_from_int3/Cor2.2.8": (
+        ("star", 1, 3, 0, "-1"), ("star", 2, 3, 1, "-1"),
+        ("star", 2, 4, 0, "-1/2"), ("star", 3, 1, 0, "-1"),
+        ("star", 3, 2, 1, "-1"), ("star", 3, 3, 4, "-2"),
+        ("star", 3, 4, 5, "-3/2"), ("star", 4, 2, 0, "-1/2"),
+        ("star", 4, 3, 5, "-3/2"),
+    ),
+    "dend_from_rb_nil2/Cor3.3.8": (
+        ("succ", 2, 1, 0, "-1"), ("succ", 2, 2, 3, "-1"),
+        ("prec", 1, 2, 0, "-1"), ("prec", 2, 2, 3, "-1"),
+    ),
+    "dend_from_int3/Cor3.3.8": (
+        ("succ", 3, 1, 0, "-1"), ("succ", 3, 2, 1, "-1"),
+        ("succ", 3, 3, 4, "-1"), ("succ", 3, 4, 5, "-1"),
+        ("succ", 4, 2, 0, "-1/2"), ("succ", 4, 3, 5, "-1/2"),
+        ("prec", 1, 3, 0, "-1"), ("prec", 2, 3, 1, "-1"),
+        ("prec", 2, 4, 0, "-1/2"), ("prec", 3, 3, 4, "-1"),
+        ("prec", 3, 4, 5, "-1/2"), ("prec", 4, 3, 5, "-1"),
+    ),
+    "quadri_from_int3_pair/Prop3.4.12": (
+        ("succ", 2, 3, 0, "1"), ("succ", 3, 2, 0, "-3/2"),
+        ("succ", 3, 3, 5, "-3/2"), ("prec", 2, 3, 0, "-3/2"),
+        ("prec", 3, 2, 0, "1"), ("prec", 3, 3, 5, "-3/2"),
+    ),
+}
+
+GOLDEN_DOUBLE_PRODUCTS = {
+    "dend_from_int3/Cor2.2.8/induced": (
+        ("star", 0, 0, 1, "2"), ("star", 0, 1, 2, "3/2"),
+        ("star", 0, 4, 3, "1"), ("star", 0, 5, 4, "1"),
+        ("star", 0, 7, 3, "-1"), ("star", 0, 7, 6, "2"),
+        ("star", 0, 8, 4, "-1/2"), ("star", 0, 8, 7, "3/2"),
+        ("star", 0, 9, 1, "-1"), ("star", 0, 9, 10, "1"),
+        ("star", 0, 10, 2, "-1/2"), ("star", 0, 10, 11, "1"),
+        ("star", 1, 0, 2, "3/2"), ("star", 1, 5, 3, "1/2"),
+        ("star", 1, 8, 3, "-1"), ("star", 1, 8, 6, "3/2"),
+        ("star", 1, 9, 2, "-1"), ("star", 1, 9, 11, "1/2"),
+        ("star", 4, 0, 3, "1"), ("star", 4, 9, 3, "-2"),
+        ("star", 4, 9, 6, "1"), ("star", 5, 0, 4, "1"),
+        ("star", 5, 1, 3, "1/2"), ("star", 5, 9, 4, "-3/2"),
+        ("star", 5, 9, 7, "1/2"), ("star", 5, 10, 3, "-3/2"),
+        ("star", 5, 10, 6, "1"), ("star", 7, 0, 3, "-1"),
+        ("star", 7, 0, 6, "2"), ("star", 7, 9, 6, "-1"),
+        ("star", 8, 0, 4, "-1/2"), ("star", 8, 0, 7, "3/2"),
+        ("star", 8, 1, 3, "-1"), ("star", 8, 1, 6, "3/2"),
+        ("star", 8, 9, 7, "-1"), ("star", 8, 10, 6, "-1/2"),
+        ("star", 9, 0, 1, "-1"), ("star", 9, 0, 10, "1"),
+        ("star", 9, 1, 2, "-1"), ("star", 9, 1, 11, "1/2"),
+        ("star", 9, 4, 3, "-2"), ("star", 9, 4, 6, "1"),
+        ("star", 9, 5, 4, "-3/2"), ("star", 9, 5, 7, "1/2"),
+        ("star", 9, 7, 6, "-1"), ("star", 9, 8, 7, "-1"),
+        ("star", 9, 9, 10, "-2"), ("star", 9, 10, 11, "-3/2"),
+        ("star", 10, 0, 2, "-1/2"), ("star", 10, 0, 11, "1"),
+        ("star", 10, 5, 3, "-3/2"), ("star", 10, 5, 6, "1"),
+        ("star", 10, 8, 6, "-1/2"), ("star", 10, 9, 11, "-3/2"),
+    ),
+    "dend_from_int3/Cor2.2.8/zero": (
+        ("star", 0, 0, 1, "2"), ("star", 0, 1, 2, "3/2"),
+        ("star", 0, 4, 3, "1"), ("star", 0, 5, 4, "1"), ("star", 0, 7, 6, "2"),
+        ("star", 0, 8, 7, "3/2"), ("star", 0, 9, 10, "1"),
+        ("star", 0, 10, 11, "1"), ("star", 1, 0, 2, "3/2"),
+        ("star", 1, 5, 3, "1/2"), ("star", 1, 8, 6, "3/2"),
+        ("star", 1, 9, 11, "1/2"), ("star", 4, 0, 3, "1"),
+        ("star", 4, 9, 6, "1"), ("star", 5, 0, 4, "1"),
+        ("star", 5, 1, 3, "1/2"), ("star", 5, 9, 7, "1/2"),
+        ("star", 5, 10, 6, "1"), ("star", 7, 0, 6, "2"),
+        ("star", 8, 0, 7, "3/2"), ("star", 8, 1, 6, "3/2"),
+        ("star", 9, 0, 10, "1"), ("star", 9, 1, 11, "1/2"),
+        ("star", 9, 4, 6, "1"), ("star", 9, 5, 7, "1/2"),
+        ("star", 10, 0, 11, "1"), ("star", 10, 5, 6, "1"),
+    ),
+    "dend_from_rb_nil2/Cor3.3.8/induced": (
+        ("star", 0, 0, 1, "2"), ("star", 0, 3, 2, "1"), ("star", 0, 5, 4, "1"),
+        ("star", 0, 6, 1, "-1"), ("star", 0, 6, 7, "1"),
+        ("star", 3, 0, 2, "1"), ("star", 3, 6, 2, "-1"),
+        ("star", 5, 0, 4, "1"), ("star", 5, 6, 4, "-1"),
+        ("star", 6, 0, 1, "-1"), ("star", 6, 0, 7, "1"),
+        ("star", 6, 3, 2, "-1"), ("star", 6, 5, 4, "-1"),
+        ("star", 6, 6, 7, "-2"),
+    ),
+    "dend_from_rb_nil2/Cor3.3.8/zero": (
+        ("star", 0, 0, 1, "2"), ("star", 0, 3, 2, "1"), ("star", 0, 5, 4, "1"),
+        ("star", 0, 6, 7, "1"), ("star", 3, 0, 2, "1"), ("star", 5, 0, 4, "1"),
+        ("star", 6, 0, 7, "1"),
+    ),
+    "dend_from_int3/Cor3.3.8/induced": (
+        ("star", 0, 0, 1, "2"), ("star", 0, 1, 2, "3/2"),
+        ("star", 0, 4, 3, "1"), ("star", 0, 5, 4, "1"), ("star", 0, 7, 6, "1"),
+        ("star", 0, 8, 7, "1"), ("star", 0, 9, 1, "-1"),
+        ("star", 0, 9, 10, "1"), ("star", 0, 10, 2, "-1/2"),
+        ("star", 0, 10, 11, "1"), ("star", 1, 0, 2, "3/2"),
+        ("star", 1, 5, 3, "1/2"), ("star", 1, 8, 6, "1/2"),
+        ("star", 1, 9, 2, "-1"), ("star", 1, 9, 11, "1/2"),
+        ("star", 4, 0, 3, "1"), ("star", 4, 9, 3, "-1"),
+        ("star", 5, 0, 4, "1"), ("star", 5, 1, 3, "1/2"),
+        ("star", 5, 9, 4, "-1"), ("star", 5, 10, 3, "-1/2"),
+        ("star", 7, 0, 6, "1"), ("star", 7, 9, 6, "-1"),
+        ("star", 8, 0, 7, "1"), ("star", 8, 1, 6, "1/2"),
+        ("star", 8, 9, 7, "-1"), ("star", 8, 10, 6, "-1/2"),
+        ("star", 9, 0, 1, "-1"), ("star", 9, 0, 10, "1"),
+        ("star", 9, 1, 2, "-1"), ("star", 9, 1, 11, "1/2"),
+        ("star", 9, 4, 3, "-1"), ("star", 9, 5, 4, "-1"),
+        ("star", 9, 7, 6, "-1"), ("star", 9, 8, 7, "-1"),
+        ("star", 9, 9, 10, "-2"), ("star", 9, 10, 11, "-3/2"),
+        ("star", 10, 0, 2, "-1/2"), ("star", 10, 0, 11, "1"),
+        ("star", 10, 5, 3, "-1/2"), ("star", 10, 8, 6, "-1/2"),
+        ("star", 10, 9, 11, "-3/2"),
+    ),
+    "dend_from_int3/Cor3.3.8/zero": (
+        ("star", 0, 0, 1, "2"), ("star", 0, 1, 2, "3/2"),
+        ("star", 0, 4, 3, "1"), ("star", 0, 5, 4, "1"), ("star", 0, 7, 6, "1"),
+        ("star", 0, 8, 7, "1"), ("star", 0, 9, 10, "1"),
+        ("star", 0, 10, 11, "1"), ("star", 1, 0, 2, "3/2"),
+        ("star", 1, 5, 3, "1/2"), ("star", 1, 8, 6, "1/2"),
+        ("star", 1, 9, 11, "1/2"), ("star", 4, 0, 3, "1"),
+        ("star", 5, 0, 4, "1"), ("star", 5, 1, 3, "1/2"),
+        ("star", 7, 0, 6, "1"), ("star", 8, 0, 7, "1"),
+        ("star", 8, 1, 6, "1/2"), ("star", 9, 0, 10, "1"),
+        ("star", 9, 1, 11, "1/2"), ("star", 10, 0, 11, "1"),
+    ),
+    "quadri_from_int3_pair/Prop3.4.12/induced": (
+        ("star", 0, 0, 2, "3"), ("star", 0, 5, 3, "1/2"),
+        ("star", 0, 8, 3, "1"), ("star", 0, 8, 6, "3/2"),
+        ("star", 0, 9, 2, "-3/2"), ("star", 0, 9, 11, "3/2"),
+        ("star", 5, 0, 3, "1/2"), ("star", 5, 9, 3, "-3/2"),
+        ("star", 5, 9, 6, "-1"), ("star", 8, 0, 3, "1"),
+        ("star", 8, 0, 6, "3/2"), ("star", 8, 9, 6, "-1/2"),
+        ("star", 9, 0, 2, "-3/2"), ("star", 9, 0, 11, "3/2"),
+        ("star", 9, 5, 3, "-3/2"), ("star", 9, 5, 6, "-1"),
+        ("star", 9, 8, 6, "-1/2"), ("star", 9, 9, 11, "-3"),
+    ),
+    "quadri_from_int3_pair/Prop3.4.12/zero": (
+        ("star", 0, 0, 2, "3"), ("star", 0, 5, 3, "1/2"),
+        ("star", 0, 8, 6, "3/2"), ("star", 0, 9, 11, "3/2"),
+        ("star", 5, 0, 3, "1/2"), ("star", 5, 9, 6, "-1"),
+        ("star", 8, 0, 6, "3/2"), ("star", 9, 0, 11, "3/2"),
+        ("star", 9, 5, 6, "-1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DUAL_PRODUCTS))
+def test_induce_dual_product_golden(case):
+    assert _entry_rows(_canonical_dual(case)[1]) == GOLDEN_DUAL_PRODUCTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DOUBLE_PRODUCTS))
+def test_double_product_golden(case):
+    name, variant, which = case.split("/")
+    a, dual = _canonical_dual(f"{name}/{variant}")
+    if which == "zero":
+        dual = zero_algebra(int(dual.level), dual.dim)
+    kind = "frobenius" if int(a.level) == 1 else "connes"
+    assert _entry_rows(double_product(a, dual, kind)) == GOLDEN_DOUBLE_PRODUCTS[case]
+
+
+# (catalog entry, parity, seed) -> (message, report rows or None) of the
+# PreconditionFailed that induce_dual_product raises.
+GOLDEN_DUAL_REFUSALS = {
+    ("nil2", "sym", 1): ("level-1 dual product needs skew r", None),
+    ("dend_from_rb_nil2", "skew", 1): ("level-2 dual product needs symmetric r",
+                                       None),
+    ("nil2", "skew", 0): ("tensor does not solve its equation", (
+        ("2.2.1", (0, 1, 1), ("-9",)), ("2.2.1", (1, 0, 1), ("-9",)),
+        ("2.2.1", (1, 1, 0), ("-9",)))),
+    ("dend_from_rb_nil2", "sym", 1): ("tensor does not solve its equation", (
+        ("2.3.10", (0, 0, 1), ("-1/4",)), ("2.3.10", (0, 1, 0), ("-1/4",)),
+        ("2.3.10", (0, 1, 1), ("1/3",)), ("2.3.10", (1, 0, 0), ("1/2",)),
+        ("2.3.10", (1, 0, 1), ("-1/6",)), ("2.3.10", (1, 1, 0), ("-1/6",)))),
+}
+
+
+@pytest.mark.parametrize("name,parity,seed", sorted(GOLDEN_DUAL_REFUSALS))
+def test_induce_dual_product_refusal_golden(name, parity, seed):
+    a = catalog.load(name).value
+    with pytest.raises(PreconditionFailed) as exc:
+        induce_dual_product(a, catalog.random_tensor2(a.dim, parity, seed))
+    rows = None if exc.value.report is None else _violation_rows(exc.value.report)
+    assert (str(exc.value), rows) == GOLDEN_DUAL_REFUSALS[(name, parity, seed)]
 
 
 def _violation_rows(report) -> tuple:
