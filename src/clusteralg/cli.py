@@ -16,6 +16,7 @@ parse or schema errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -334,7 +335,9 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(prog="clusteralg", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -150,9 +150,6 @@ class ClusterAlgebra:
             if t.dims != (d, d, d):
                 raise DimensionMismatch(f"tensor for {op} has dims {t.dims}, want {(d, d, d)}")
 
-    def op_tensor(self, op: str) -> Tensor3:
-        return self.sc[op]
-
     def basis_product(self, op: str, i: int, j: int) -> tuple[Fraction, ...]:
         """Coordinates of e_i op e_j."""
         return self.sc[op].fibre(i, j)

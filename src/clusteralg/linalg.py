@@ -67,10 +67,6 @@ def format_rational(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # vectors (plain tuples of Fractions)
 
-def vec_zero(n: int) -> tuple[Fraction, ...]:
-    return (_ZERO,) * n
-
-
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 

@@ -169,13 +169,12 @@ def induced_tensors(a: ClusterAlgebra, m: Bimodule,
     out: dict[str, Tensor3] = {}
     for new_op, (side, op) in _INDUCTION[int(a.level)].items():
         entries = []
-        for i in range(md):
-            for j in range(md):
-                if side == "l":
-                    col = apply_action(m, "l", op, t.column(i)).col(j)
-                else:
-                    col = apply_action(m, "r", op, t.column(j)).col(i)
-                entries.extend((i, j, k, v) for k, v in enumerate(col) if v)
+        for u in range(md):
+            # column w of the action of T(v_u) is v_u NEW v_w ("l") or
+            # v_w NEW v_u ("r")
+            act = apply_action(m, side, op, t.column(u))
+            entries.extend((u, w, k, v) if side == "l" else (w, u, k, v)
+                           for k, w, v in act.nonzero())
         out[new_op] = Tensor3.from_entries((md, md, md), entries)
     return out
 
@@ -226,7 +225,7 @@ def homomorphism_report(finer: ClusterAlgebra, a: ClusterAlgebra,
     return Report(tuple(violations))
 
 
-def rb_finer(a: ClusterAlgebra, r: InterMap, check: bool = True,
+def rb_finer(a: ClusterAlgebra, r: InterMap,
              verify: bool = True) -> ClusterAlgebra:
     """Finer algebra from a Rota-Baxter operator (regular-bimodule induction).
 
@@ -234,10 +233,7 @@ def rb_finer(a: ClusterAlgebra, r: InterMap, check: bool = True,
     dendriform product the same way; level 4 -> 8 splits each quadri
     product, index 1 acting through R on the right argument.
     """
-    if check:
-        rep = is_rota_baxter(a, r)
-        if not rep.ok:
-            raise NotRotaBaxter("map is not a Rota-Baxter operator", rep)
+    _require_rb(a, r, "map")
     return induce_on_module(a, regular_bimodule(a), r, check=False, verify=verify)
 
 
@@ -270,7 +266,7 @@ def _pair_tensor(a: ClusterAlgebra, left: Matrix | None,
 
 
 def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
-                   check: bool = True, verify: bool = True) -> ClusterAlgebra:
+                   verify: bool = True) -> ClusterAlgebra:
     """Quadri structure from two commuting Rota-Baxter operators:
 
         x SE y = R1R2(x)*y     x NE y = R1(x)*R2(y)
@@ -278,10 +274,9 @@ def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
     """
     if a.level != Level.ASSOC:
         raise LevelError("pair construction starts from a level-1 algebra")
-    if check:
-        _require_rb(a, r1, "r1")
-        _require_rb(a, r2, "r2")
-        _require_commuting(r1.matrix, r2.matrix)
+    _require_rb(a, r1, "r1")
+    _require_rb(a, r2, "r2")
+    _require_commuting(r1.matrix, r2.matrix)
     m1, m2 = r1.matrix, r2.matrix
     m12 = m1 @ m2
     sc = {
@@ -299,7 +294,7 @@ def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
 
 
 def rb_triple_octo(a: ClusterAlgebra, r1: InterMap, r2: InterMap, r3: InterMap,
-                   check: bool = True, verify: bool = True) -> ClusterAlgebra:
+                   verify: bool = True) -> ClusterAlgebra:
     """Octo structure from three pairwise commuting Rota-Baxter operators:
 
         x se1 y = R2R3(x)*R1(y)    x se2 y = R1R2R3(x)*y
@@ -309,10 +304,9 @@ def rb_triple_octo(a: ClusterAlgebra, r1: InterMap, r2: InterMap, r3: InterMap,
     """
     if a.level != Level.ASSOC:
         raise LevelError("triple construction starts from a level-1 algebra")
-    if check:
-        for name, r in (("r1", r1), ("r2", r2), ("r3", r3)):
-            _require_rb(a, r, name)
-        _require_commuting(r1.matrix, r2.matrix, r3.matrix)
+    for name, r in (("r1", r1), ("r2", r2), ("r3", r3)):
+        _require_rb(a, r, name)
+    _require_commuting(r1.matrix, r2.matrix, r3.matrix)
     m1, m2, m3 = r1.matrix, r2.matrix, r3.matrix
     sc = {
         "se1": _pair_tensor(a, m2 @ m3, m1),

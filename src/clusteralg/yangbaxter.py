@@ -18,7 +18,11 @@ tests built from these placements:
 Each equation is equivalent to r being an O-operator for a specific
 signed dual bimodule, and every O-operator lifts to a solution in a
 semidirect double; both directions are implemented so the equivalences
-can be tested rather than assumed.
+can be tested rather than assumed.  The same facts give the dual
+product a solution r induces on A* (the structure -r induces on A* as
+an O-operator of the dual regular bimodule) and the Frobenius and
+Connes doubles (two semidirect sums over dual bimodules, laid over
+each other).
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from .bimodules import (Bimodule, PreconditionFailed, apply_action,
                         dual_bimodule, octo_depth_bimodule, regular_bimodule,
                         restrict_bimodule, semidirect_sum)
 from .core import (ClusterAlgebra, Level, LevelError, Report, Violation,
-                   check_axioms, derived_op, mult_operator)
+                   check_axioms, derived_op, project)
 from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3,
                      row_echelon_pivots, solve_consistent)
-from .operators import (InterMap, VerificationFailed, induced_tensors,
-                        is_o_operator)
+from .operators import (_CANONICAL_COARSER, InterMap, VerificationFailed,
+                        induced_tensors, is_o_operator)
 
 
 @dataclass(frozen=True)
@@ -451,9 +455,13 @@ def image_double_solution(a: ClusterAlgebra, m: Bimodule,
 
 
 # ---------------------------------------------------------------------------
-# coproduct-induced dual products and double products
+# dual products induced by a solution, and double products
 
-def induce_dual_product(a: ClusterAlgebra, r: Tensor2, check: bool = True,
+_DUAL_PRODUCT = {1: ("skew", Tensor2.is_skew, check_aybe),
+                 2: ("symmetric", Tensor2.is_symmetric, check_d_equation)}
+
+
+def induce_dual_product(a: ClusterAlgebra, r: Tensor2,
                         verify: bool = True) -> ClusterAlgebra:
     """Product on A* induced by a solution r.
 
@@ -463,47 +471,26 @@ def induce_dual_product(a: ClusterAlgebra, r: Tensor2, check: bool = True,
     pair al_succ(x) = (-1 (x) L_*(x) + R_prec(x) (x) 1) r,
     al_prec(x) = (1 (x) L_succ(x) - R_*(x) (x) 1) r dualises to a
     dendriform structure on A*.
+
+    Both are the structure that -r: A* -> A induces as an O-operator of
+    the dual regular bimodule, projected to a's level (-r is an
+    O-operator exactly when r is).  The coproducts agree with that
+    induction only for r of the stated parity, so the parity and the
+    equation are checked on every call.
     """
     level = int(a.level)
-    if level not in (1, 2):
+    if level not in _DUAL_PRODUCT:
         raise LevelError("dual products are induced at levels 1 and 2")
-    g = r.grid
-    if check:
-        if level == 1:
-            if not r.is_skew():
-                raise PreconditionFailed("level-1 dual product needs skew r")
-            rep = check_aybe(a, r)
-        else:
-            if not r.is_symmetric():
-                raise PreconditionFailed("level-2 dual product needs symmetric r")
-            rep = check_d_equation(a, r)
-        if not rep.ok:
-            raise PreconditionFailed("tensor does not solve its equation", rep)
-    d = a.dim
-
-    def coproduct(k: int, left_sym: str, right_sym: str, sign_left: int) -> Matrix:
-        # sign_left * (R_right(e_k) @ G) + (-sign_left) * (G @ L_left(e_k)^T)
-        lmat = g @ mult_operator(a, left_sym, "left", k).transpose()
-        rmat = mult_operator(a, right_sym, "right", k) @ g
-        return (rmat - lmat) if sign_left < 0 else (lmat - rmat)
-
-    sc = {}
-    if level == 1:
-        entries = []
-        for k in range(d):
-            alpha = coproduct(k, "star", "star", 1)  # G L(e_k)^T - R(e_k) G
-            entries.extend((i, j, k, v) for i, j, v in alpha.nonzero())
-        sc["star"] = Tensor3.from_entries((d, d, d), entries)
-    else:
-        e_succ, e_prec = [], []
-        for k in range(d):
-            alpha_succ = coproduct(k, "star", "prec", -1)  # R_prec(e_k) G - G L_*(e_k)^T
-            alpha_prec = coproduct(k, "succ", "star", 1)   # G L_succ(e_k)^T - R_*(e_k) G
-            e_succ.extend((i, j, k, v) for i, j, v in alpha_succ.nonzero())
-            e_prec.extend((i, j, k, v) for i, j, v in alpha_prec.nonzero())
-        sc["succ"] = Tensor3.from_entries((d, d, d), e_succ)
-        sc["prec"] = Tensor3.from_entries((d, d, d), e_prec)
-    out = ClusterAlgebra(a.level, d, sc)
+    parity, has_parity, equation = _DUAL_PRODUCT[level]
+    if not has_parity(r):
+        raise PreconditionFailed(f"level-{level} dual product needs {parity} r")
+    rep = equation(a, r)
+    if not rep.ok:
+        raise PreconditionFailed("tensor does not solve its equation", rep)
+    dual = dual_bimodule(a, regular_bimodule(a))
+    finer = ClusterAlgebra(Level.of(2 * level), a.dim,
+                           induced_tensors(a, dual, InterMap(-r.grid)))
+    out = project(finer, _CANONICAL_COARSER[2 * level])
     if verify:
         rep = check_axioms(out)
         if not rep.ok:
@@ -511,52 +498,39 @@ def induce_dual_product(a: ClusterAlgebra, r: Tensor2, check: bool = True,
     return out
 
 
+_DOUBLE_LEVELS = {"frobenius": 1, "connes": 2}
+
+
 def double_product(a: ClusterAlgebra, a_dual: ClusterAlgebra, variant: str,
                    verify: bool = True) -> ClusterAlgebra:
     """Associative product on A (+) A* mixing a product on A with one on A*.
 
-    variant "frobenius" takes two level-1 algebras and crosses them with
-    the transposed multiplication operators of each other; variant
-    "connes" takes two level-2 algebras and crosses through the
-    transposed succ/prec operators, returning the level-1 double.
+    variant "frobenius" takes two level-1 algebras, "connes" two level-2
+    algebras.  The double is the semidirect sum x |x M_x* for x = a on
+    A (+) A*, laid over the one for x = a_dual on A* (+) A (index i at
+    (i + d) mod 2d); the two fill disjoint positions.  M_x is x's regular
+    bimodule (frobenius), or its (L_succ, R_prec) part over the
+    associated associative algebra (connes).
     """
     if a.dim != a_dual.dim:
         raise DimensionMismatch("the two factors must have equal dimension")
-    if variant == "frobenius":
-        if int(a.level) != 1 or int(a_dual.level) != 1:
-            raise LevelError("frobenius variant needs two level-1 algebras")
-        a_star, dual_star = a.sc["star"], a_dual.sc["star"]
-        cross_l_dual = "star"   # L of a_dual feeding the A block
-        cross_r_a = "star"      # R of a feeding the A* block
-        cross_r_dual = "star"
-        cross_l_a = "star"
-    elif variant == "connes":
-        if int(a.level) != 2 or int(a_dual.level) != 2:
-            raise LevelError("connes variant needs two level-2 algebras")
-        a_star, dual_star = derived_op(a, "star"), derived_op(a_dual, "star")
-        cross_l_dual = "succ"
-        cross_r_a = "prec"
-        cross_r_dual = "prec"
-        cross_l_a = "succ"
-    else:
+    if variant not in _DOUBLE_LEVELS:
         raise ValueError(f"unknown double product variant {variant!r}")
+    want = _DOUBLE_LEVELS[variant]
+    if int(a.level) != want or int(a_dual.level) != want:
+        raise LevelError(f"{variant} variant needs two level-{want} algebras")
+
+    def half(x: ClusterAlgebra) -> Tensor3:
+        base, m = x, regular_bimodule(x)
+        if variant == "connes":
+            base, m = restrict_bimodule(x, m, "assoc-outer")
+        return semidirect_sum(base, dual_bimodule(base, m), check=False).sc["star"]
+
     d = a.dim
     n = 2 * d
-    entries = []
-    entries.extend((i, j, k, v) for i, j, k, v in a_star.nonzero())
-    entries.extend((d + i, d + j, d + k, v) for i, j, k, v in dual_star.nonzero())
-    for i in range(d):
-        for j in range(d):
-            # e_i * f_j : A part via L^*_{A*}, A* part via R^*_{A}
-            lm = mult_operator(a_dual, cross_l_dual, "left", j)
-            rm = mult_operator(a, cross_r_a, "right", i)
-            entries.extend((i, d + j, k, lm[i, k]) for k in range(d) if lm[i, k])
-            entries.extend((i, d + j, d + k, rm[j, k]) for k in range(d) if rm[j, k])
-            # f_i * e_j : A part via R^*_{A*}, A* part via L^*_{A}
-            rm2 = mult_operator(a_dual, cross_r_dual, "right", i)
-            lm2 = mult_operator(a, cross_l_a, "left", j)
-            entries.extend((d + i, j, k, rm2[j, k]) for k in range(d) if rm2[j, k])
-            entries.extend((d + i, j, d + k, lm2[i, k]) for k in range(d) if lm2[i, k])
+    entries = list(half(a).nonzero())
+    entries.extend(((i + d) % n, (j + d) % n, (k + d) % n, v)
+                   for i, j, k, v in half(a_dual).nonzero())
     out = ClusterAlgebra(Level.ASSOC, n, {"star": Tensor3.from_entries((n, n, n), entries)})
     if verify:
         rep = check_axioms(out)

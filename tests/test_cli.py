@@ -359,3 +359,14 @@ def test_derive_dual_product_refusal_golden(capsys, tmp_path, algebra, parity,
     path.write_text(dumps(doc), encoding="utf-8")
     assert run(capsys, "derive", str(path), "dual-product", algebra, "r",
                "--json") == (1, "", stderr)
+
+
+def test_consecutive_calls_share_no_option(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "check", "catalog", "int3", "--json")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert run(capsys, "check", "catalog", "int3") == (0, "ok: int3\n", "")
+    canonical = ("derive", "catalog", "canonical-solution", "dend_from_rb_nil2")
+    assert run(capsys, *canonical, "--variant", "Cor2.2.8")[0] == 0
+    code, _, err = run(capsys, *canonical)
+    assert code == 2 and "canonical-solution needs --variant" in err
