@@ -5,8 +5,9 @@ import pytest
 from clusteralg import catalog
 from clusteralg.bimodules import (PreconditionFailed, regular_bimodule,
                                   restrict_bimodule)
-from clusteralg.core import LevelError, check_axioms, project, zero_algebra
-from clusteralg.linalg import Matrix, Tensor3
+from clusteralg.core import (LevelError, algebra_entries, algebra_from_entries,
+                             check_axioms, project, zero_algebra)
+from clusteralg.linalg import Matrix, Tensor3, format_rational
 from clusteralg.operators import (InterMap, NotCommuting, NotRotaBaxter,
                                   compatible_from_invertible,
                                   homomorphism_report, induce_on_module,
@@ -110,6 +111,35 @@ def test_homomorphism_identity(nil2, rb_nil2, trunc3, int3):
     for a, t in ((nil2, rb_nil2), (trunc3, int3)):
         finer = induce_on_module(a, regular_bimodule(a), t)
         assert homomorphism_report(finer, a, t).ok
+
+
+# The structure a map that is no O-operator induces on the regular
+# bimodule of dend_from_int3 with every constant halved: the map's
+# denominators (3, 5, 7) differ from the algebra's (2), and the rows are
+# the exact violations of the homomorphism test.
+GOLDEN_HOMOMORPHISM = (
+    ("hom-succ", (0, 0), ("0", "0", "9/70")),
+    ("hom-succ", (0, 1), ("1/18", "0", "-1/28")),
+    ("hom-succ", (1, 0), ("1/18", "0", "-1/14")),
+    ("hom-succ", (1, 1), ("0", "-1/18", "1/10")),
+    ("hom-prec", (0, 0), ("0", "0", "9/70")),
+    ("hom-prec", (0, 1), ("1/18", "0", "-1/14")),
+    ("hom-prec", (1, 0), ("1/18", "0", "-1/28")),
+    ("hom-prec", (1, 1), ("0", "-1/18", "1/10")),
+)
+
+
+def test_homomorphism_report_golden(dend_int3):
+    a = algebra_from_entries(2, 3, [(*row[:-1], row[-1] / 2)
+                                    for row in algebra_entries(dend_int3)])
+    t = InterMap(Matrix([[0, Fraction(1, 3), 0], [Fraction(3, 7), 0, 0],
+                         [0, 0, Fraction(2, 5)]]))
+    m = regular_bimodule(a)
+    assert not is_o_operator(a, m, t).ok
+    finer = induce_on_module(a, m, t, check=False, verify=False)
+    rep = homomorphism_report(finer, a, t)
+    assert tuple((v.identity_id, v.witness, tuple(map(format_rational, v.discrepancy)))
+                 for v in rep.violations) == GOLDEN_HOMOMORPHISM
 
 
 def test_induce_precondition_failure(nil2):

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from clusteralg import catalog
+from clusteralg import catalog, cli
 from clusteralg.bimodules import (PreconditionFailed, dual_bimodule,
                                   regular_bimodule, restrict_bimodule,
                                   semidirect_sum)
 from clusteralg.core import (LevelError, algebra_entries, algebra_from_entries,
                              check_axioms, zero_algebra)
-from clusteralg.bundle import serialize_algebra, serialize_tensor2
+from clusteralg.bundle import dumps, serialize_algebra, serialize_tensor2
 from clusteralg.linalg import DimensionMismatch, Matrix, Tensor3, format_rational
 from clusteralg.operators import InterMap
 from clusteralg.yangbaxter import (Tensor2, aybe_as_o_operator,
@@ -719,3 +719,422 @@ def test_image_lift_rank_zero(trunc3):
     with pytest.raises(ValueError, match="positive rank") as exc:
         image_double_solution(trunc3, regular_bimodule(trunc3), InterMap.zero(3, 3))
     assert not isinstance(exc.value, DimensionMismatch)
+
+
+# Failing tensors with their exact `check BUNDLE r --equation EQ --json`
+# output, one per equation: (catalog algebra, factor scaling each of its
+# constants, tensor entries, stdout).  The tensors' denominators (3, 5, 7)
+# differ from the scaled algebras' (2, 3), and every discrepancy is a
+# non-integer rational.
+GOLDEN_EQUATIONS = {
+    "aybe": (
+        "nil2", Fraction(1, 2),
+        [[0, 1, "1/3"], [1, 0, "-1/3"], [1, 1, "2/5"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "-1/18"
+      ],
+      "identity": "2.2.1",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/18"
+      ],
+      "identity": "2.2.1",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/18"
+      ],
+      "identity": "2.2.1",
+      "witness": [
+        1,
+        1,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "d": (
+        "dend_from_rb_nil2", Fraction(2, 3),
+        [[0, 0, "1/5"], [0, 1, "3/7"], [1, 0, "3/7"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "-2/75"
+      ],
+      "identity": "2.3.10",
+      "witness": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-2/75"
+      ],
+      "identity": "2.3.10",
+      "witness": [
+        0,
+        1,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "-4/35"
+      ],
+      "identity": "2.3.10",
+      "witness": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "4/75"
+      ],
+      "identity": "2.3.10",
+      "witness": [
+        1,
+        0,
+        0
+      ]
+    },
+    {
+      "discrepancy": [
+        "2/35"
+      ],
+      "identity": "2.3.10",
+      "witness": [
+        1,
+        0,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "2/35"
+      ],
+      "identity": "2.3.10",
+      "witness": [
+        1,
+        1,
+        0
+      ]
+    }
+  ]
+}
+"""),
+    "q": (
+        "quadri_from_int3_pair", Fraction(1, 2),
+        [[0, 1, "1/5"], [1, 0, "-1/5"], [1, 2, "2/7"], [2, 1, "-2/7"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "3/100"
+      ],
+      "identity": "3.4.17",
+      "witness": [
+        1,
+        1,
+        2
+      ]
+    },
+    {
+      "discrepancy": [
+        "3/100"
+      ],
+      "identity": "3.4.17",
+      "witness": [
+        1,
+        2,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/50"
+      ],
+      "identity": "3.4.17",
+      "witness": [
+        2,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "3/100"
+      ],
+      "identity": "3.4.18",
+      "witness": [
+        1,
+        1,
+        2
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/50"
+      ],
+      "identity": "3.4.18",
+      "witness": [
+        1,
+        2,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "3/100"
+      ],
+      "identity": "3.4.18",
+      "witness": [
+        2,
+        1,
+        1
+      ]
+    }
+  ]
+}
+"""),
+    "q-dual": (
+        "quadri_from_int3_pair", Fraction(1, 2),
+        [[0, 2, "1/5"], [2, 0, "-1/5"], [1, 2, "2/7"], [2, 1, "-2/7"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "2/25"
+      ],
+      "identity": "4.2.5",
+      "witness": [
+        2,
+        2,
+        2
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/25"
+      ],
+      "identity": "4.2.6",
+      "witness": [
+        2,
+        2,
+        2
+      ]
+    },
+    {
+      "discrepancy": [
+        "2/25"
+      ],
+      "identity": "4.2.7",
+      "witness": [
+        2,
+        2,
+        2
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/25"
+      ],
+      "identity": "4.2.8",
+      "witness": [
+        2,
+        2,
+        2
+      ]
+    }
+  ]
+}
+"""),
+    "o": (
+        "octo_from_int4_triple", Fraction(1, 3),
+        [[0, 1, "1/5"], [2, 0, "2/7"]],
+        """\
+{
+  "ok": false,
+  "violations": [
+    {
+      "discrepancy": [
+        "8/441"
+      ],
+      "identity": "4.4.23",
+      "witness": [
+        2,
+        2,
+        3
+      ]
+    },
+    {
+      "discrepancy": [
+        "-2/63"
+      ],
+      "identity": "4.4.23",
+      "witness": [
+        2,
+        3,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/150"
+      ],
+      "identity": "4.4.23",
+      "witness": [
+        3,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "4/147"
+      ],
+      "identity": "4.4.24",
+      "witness": [
+        2,
+        2,
+        3
+      ]
+    },
+    {
+      "discrepancy": [
+        "2/105"
+      ],
+      "identity": "4.4.24",
+      "witness": [
+        2,
+        3,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "1/75"
+      ],
+      "identity": "4.4.24",
+      "witness": [
+        3,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "8/441"
+      ],
+      "identity": "4.4.25",
+      "witness": [
+        2,
+        2,
+        3
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/105"
+      ],
+      "identity": "4.4.25",
+      "witness": [
+        2,
+        3,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "-1/45"
+      ],
+      "identity": "4.4.25",
+      "witness": [
+        3,
+        1,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "4/147"
+      ],
+      "identity": "4.4.26",
+      "witness": [
+        2,
+        2,
+        3
+      ]
+    },
+    {
+      "discrepancy": [
+        "2/105"
+      ],
+      "identity": "4.4.26",
+      "witness": [
+        2,
+        3,
+        1
+      ]
+    },
+    {
+      "discrepancy": [
+        "1/75"
+      ],
+      "identity": "4.4.26",
+      "witness": [
+        3,
+        1,
+        1
+      ]
+    }
+  ]
+}
+"""),
+}
+
+
+def _scaled_algebra_doc(name: str, factor: Fraction) -> dict:
+    doc = dict(catalog.catalog_bundle()["algebras"][name])
+    doc["sc"] = [[*row[:-1], format_rational(Fraction(row[-1]) * factor)]
+                 for row in doc["sc"]]
+    return doc
+
+
+@pytest.mark.parametrize("equation", sorted(GOLDEN_EQUATIONS))
+def test_check_equation_json_golden(equation, capsys, tmp_path):
+    name, factor, entries, expected = GOLDEN_EQUATIONS[equation]
+    alg = _scaled_algebra_doc(name, factor)
+    doc = {"field": "Q", "algebras": {"a": alg},
+           "tensors": {"r": {"dim": alg["dim"], "entries": entries, "algebra": "a"}}}
+    path = tmp_path / "golden.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    code = cli.main(["check", str(path), "r", "--equation", equation, "--json"])
+    assert (code, capsys.readouterr().out) == (1, expected)
