@@ -18,6 +18,7 @@ B(x + a*, y + b*) = <x, b*> + <a*, y>, as required.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -167,7 +168,7 @@ def _form_term(bm: Matrix, t: Tensor3, product_left: bool,
                Fraction(0))
 
 
-def _condition_holds(a: ClusterAlgebra, b: BilinearForm, terms) -> bool:
+def _condition_holds(a: ClusterAlgebra, b: BilinearForm, terms, resolve) -> bool:
     bm = b.matrix
     resolved = []
     for sign, term in terms:
@@ -175,7 +176,7 @@ def _condition_holds(a: ClusterAlgebra, b: BilinearForm, terms) -> bool:
             _, op, va, vb, vc = term
         else:
             _, va, op, vb, vc = term
-        resolved.append((sign, derived_op(a, op), term[0] == "pk",
+        resolved.append((sign, resolve(op), term[0] == "pk",
                          _VARS[va], _VARS[vb], _VARS[vc]))
     for triple in product(range(a.dim), repeat=3):
         total = Fraction(0)
@@ -196,7 +197,8 @@ def classify_form(a: ClusterAlgebra, b: BilinearForm) -> FormClassification:
     if b.dim != a.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
     level = int(a.level)
-    flags = {name: _condition_holds(a, b, terms)
+    resolve = cache(partial(derived_op, a))  # each symbol once per call
+    flags = {name: _condition_holds(a, b, terms, resolve)
              for name, terms in _FORM_CONDITIONS[level].items()}
     for name, parts in _COMPOSITES[level].items():
         flags[name] = all(flags[p] for p in parts)

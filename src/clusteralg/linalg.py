@@ -79,10 +79,6 @@ def vec_scale(c: Fraction, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * a for a in u)
 
 
-def vec_is_zero(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
-
-
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if k == i else _ZERO for k in range(n))
 
@@ -137,6 +133,14 @@ class Matrix:
             for j, v in enumerate(row):
                 if v:
                     yield i, j, v
+
+    def scaled_cols(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """The lcm D of the denominators, and D times the matrix as sparse
+        integer columns: column c lists (row, D m[row, c]) where nonzero."""
+        den = lcm(*(v.denominator for row in self._r for v in row))
+        return den, [[(r, v.numerator * (den // v.denominator))
+                      for r, row in enumerate(self._r) if (v := row[c])]
+                     for c in range(self.cols)]
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self._r for v in row)

@@ -24,14 +24,13 @@ verify=False to skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from itertools import product
 
 from .bimodules import (Bimodule, PreconditionFailed, apply_action,
                         regular_bimodule, semidirect_sum)
-from .core import (ClusterAlgebra, Level, LevelError, Report, Violation,
-                   check_axioms, project, scaled_fibres)
-from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3,
-                     unit_vector, vec_is_zero, vec_sub)
+from .core import (PROJECTIONS, ClusterAlgebra, Level, LevelError, Report,
+                   Violation, check_axioms, project, scaled_fibres)
+from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, unit_vector
 
 
 class NotCommuting(ValueError):
@@ -103,10 +102,7 @@ def is_o_operator(a: ClusterAlgebra, m: Bimodule, t: InterMap) -> Report:
     d, md = a.dim, m.module_dim
     den, fibres = scaled_fibres(s, a.level.ops)
     # D_T times T, as sparse integer columns; graph[u] is D_T (T v_u, v_u)
-    den_t = lcm(*(v.denominator for _, _, v in t.matrix.nonzero()))
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(md)]
-    for r, c, v in t.matrix.nonzero():
-        cols[c].append((r, v.numerator * (den_t // v.denominator)))
+    den_t, cols = t.matrix.scaled_cols()
     graph = [cols[u] + [(d + u, den_t)] for u in range(md)]
     divisor = den * den_t ** 3
     ids = _O_IDENTITY_IDS[int(a.level)]
@@ -117,11 +113,10 @@ def is_o_operator(a: ClusterAlgebra, m: Bimodule, t: InterMap) -> Report:
             for j, gj in enumerate(graph):
                 # p is D D_T^2 (g_i op g_j); diff is D D_T^3 (A-part - T(V-part))
                 p = [0] * (d + md)
-                for x, xv in gi:
-                    for y, yv in gj:
-                        xy = xv * yv
-                        for k, c in fib.get((x, y), ()):
-                            p[k] += xy * c
+                for (x, xv), (y, yv) in product(gi, gj):
+                    xy = xv * yv
+                    for k, c in fib.get((x, y), ()):
+                        p[k] += xy * c
                 diff = [den_t * v for v in p[:d]]
                 for u, v in enumerate(p[d:]):
                     if v:
@@ -207,21 +202,36 @@ def homomorphism_report(finer: ClusterAlgebra, a: ClusterAlgebra,
                         t: InterMap) -> Report:
     """Check T(u coarse-op v) = T(u) op T(v) on all basis pairs, where
     coarse-op runs over the canonical projection of the finer algebra
-    matching a's level."""
-    coarse = project(finer, _CANONICAL_COARSER[int(finer.level)])
-    if int(coarse.level) != int(a.level):
+    matching a's level.  On integers, with D_f, D_a and D_T the common
+    denominators of finer, a and T: D_a D_T times D_f D_T T(u coarse-op v)
+    minus D_f times D_a D_T^2 T(u) op T(v) is D_f D_a D_T^2 times the
+    defect, which is divided back only when reported."""
+    level = int(finer.level)
+    coarse = PROJECTIONS[(level, _CANONICAL_COARSER[level])]
+    if level // 2 != int(a.level):
         raise LevelError("homomorphism target level mismatch")
+    if t.source_dim != finer.dim or t.target_dim != a.dim:
+        raise DimensionMismatch("map does not fit the two algebras")
+    den_f, src_fibres = scaled_fibres(finer, coarse.values())
+    den_a, dst_fibres = scaled_fibres(a, a.level.ops)
+    den_t, cols = t.matrix.scaled_cols()
+    divisor = den_f * den_a * den_t ** 2
     violations = []
     for op in a.level.ops:
-        src = coarse.sc[op]
-        dst = a.sc[op]
-        for i in range(coarse.dim):
-            for j in range(coarse.dim):
-                lhs = t(src.fibre(i, j))
-                rhs = a.bilinear(dst, t.column(i), t.column(j))
-                diff = vec_sub(lhs, rhs)
-                if not vec_is_zero(diff):
-                    violations.append(Violation(f"hom-{op}", (i, j), diff))
+        src, dst = src_fibres[coarse[op]], dst_fibres[op]
+        for i, j in product(range(finer.dim), repeat=2):
+            diff = [0] * a.dim
+            for k, c in src.get((i, j), ()):
+                c *= den_a * den_t
+                for r, tv in cols[k]:
+                    diff[r] += c * tv
+            for (x, xv), (y, yv) in product(cols[i], cols[j]):
+                c = den_f * xv * yv
+                for k, v in dst.get((x, y), ()):
+                    diff[k] -= c * v
+            if any(diff):
+                violations.append(Violation(f"hom-{op}", (i, j), tuple(
+                    Fraction(v, divisor) for v in diff)))
     return Report(tuple(violations))
 
 

@@ -7,8 +7,11 @@ r(f_j) = sum_i r_ij e_i, i.e. the grid itself in column convention.
 The slot calculus embeds two such elements into A (x) A (x) A with a
 blank in one slot each and multiplies the components meeting in the
 shared slot; the left factor of the operation always comes from the
-first tensor argument.  The equation checkers are exact Tensor3 zero
-tests built from these placements:
+first tensor argument.  The equation checkers sum these placements on
+integers: with the algebra's constants scaled by their common
+denominator D (``core.scaled_fibres``) and r's by its own D_r, and every
+equation of degree 1 in the algebra and 2 in r, a defect is D D_r^2
+times the rational one and only a reported value is divided back:
 
     level 1  (id 2.2.1)   r12*r13 + r13*r23 - r23*r12 = 0
     level 2  (id 2.3.10)  r12*r13 = r13<r23 + r23>r12
@@ -28,13 +31,14 @@ each other).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .bimodules import (Bimodule, PreconditionFailed, apply_action,
                         dual_bimodule, octo_depth_bimodule, regular_bimodule,
                         restrict_bimodule, semidirect_sum)
 from .core import (ClusterAlgebra, Level, LevelError, Report, Violation,
-                   check_axioms, derived_op, project)
+                   check_axioms, project, scaled_fibres)
 from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3,
                      row_echelon_pivots, solve_consistent)
 from .operators import (_CANONICAL_COARSER, InterMap, VerificationFailed,
@@ -70,10 +74,6 @@ class Tensor2:
     def entries(self) -> list[tuple[int, int, Fraction]]:
         return list(self.grid.nonzero())
 
-    def sigma(self) -> "Tensor2":
-        """The exchange x(x)y -> y(x)x, i.e. the transposed grid."""
-        return Tensor2(self.grid.transpose())
-
     def is_skew(self) -> bool:
         return self.grid.transpose() == -self.grid
 
@@ -82,9 +82,6 @@ class Tensor2:
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         return Tensor2(self.grid + other.grid)
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(self.grid - other.grid)
 
     def scale(self, c) -> "Tensor2":
         return Tensor2(self.grid.scale(c))
@@ -106,6 +103,32 @@ _PLACEMENTS = {
 }
 
 
+def _slot_sums(a: ClusterAlgebra, r: Tensor2, s: Tensor2,
+               equations: Sequence) -> tuple[list[dict], int]:
+    """Per list of (sign, op, place) terms, its sum of slot products of r
+    with s as integers keyed (p, q, t), and the divisor D D_r D_s."""
+    if r.dim != a.dim or s.dim != a.dim:
+        raise DimensionMismatch("tensor dims must match the algebra")
+    den, fibres = scaled_fibres(a, {op for terms in equations for _, op, _ in terms})
+    (den_r, r_cols), (den_s, s_cols) = r.grid.scaled_cols(), s.grid.scaled_cols()
+    # each grid's entries per multiplied index: by row (True) or column
+    r_lines, s_lines = ({True: g.transpose().scaled_cols()[1], False: cols}
+                        for g, cols in ((r.grid, r_cols), (s.grid, s_cols)))
+    sums: list[dict[tuple[int, int, int], int]] = []
+    for terms in equations:
+        sums.append(acc := {})
+        for sign, op, place in terms:
+            r_mult_row, s_mult_row, assemble = _PLACEMENTS[place]
+            for (rm, sm), fibre in fibres[op].items():
+                for (rf, rv), (sf, sv) in product(r_lines[r_mult_row][rm],
+                                                  s_lines[s_mult_row][sm]):
+                    c = sign * rv * sv
+                    for k, v in fibre:
+                        key = assemble(k, rf, sf)
+                        acc[key] = acc.get(key, 0) + c * v
+    return sums, den * den_r * den_s
+
+
 def slot_product(a: ClusterAlgebra, op: str, r: Tensor2, s: Tensor2,
                  place: tuple[int, int]) -> Tensor3:
     """The product of r placed at slots place[0] with s at place[1].
@@ -116,22 +139,9 @@ def slot_product(a: ClusterAlgebra, op: str, r: Tensor2, s: Tensor2,
     """
     if place not in _PLACEMENTS:
         raise ValueError(f"invalid slot placement {place!r}")
-    if r.dim != a.dim or s.dim != a.dim:
-        raise DimensionMismatch("tensor dims must match the algebra")
-    tensor = derived_op(a, op)
-    r_mult_row, s_mult_row, assemble = _PLACEMENTS[place]
-    d = a.dim
-    buf = [Fraction(0)] * (d * d * d)
-    for ri, rj, rv in r.grid.nonzero():
-        rm, rf = (ri, rj) if r_mult_row else (rj, ri)
-        for si, sj, sv in s.grid.nonzero():
-            sm, sf = (si, sj) if s_mult_row else (sj, si)
-            c = rv * sv
-            for k, v in enumerate(tensor.fibre(rm, sm)):
-                if v:
-                    p, q, t = assemble(k, rf, sf)
-                    buf[(p * d + q) * d + t] += c * v
-    return Tensor3((d, d, d), buf)
+    (acc,), divisor = _slot_sums(a, r, s, [((1, op, place),)])
+    return Tensor3.from_entries((a.dim,) * 3, [(*key, Fraction(v, divisor))
+                                               for key, v in acc.items()])
 
 
 # Equation tables: sum of signed slot products that must vanish.
@@ -155,15 +165,9 @@ _EQUATIONS: dict[str, tuple[tuple[int, str, tuple[int, int]], ...]] = {
 
 
 def _equation_report(a: ClusterAlgebra, r: Tensor2, ids: Sequence[str]) -> Report:
-    violations = []
-    for ident in ids:
-        acc = Tensor3.zeros(a.dim, a.dim, a.dim)
-        for sign, op, place in _EQUATIONS[ident]:
-            term = slot_product(a, op, r, r, place)
-            acc = acc + (term if sign > 0 else -term)
-        for p, q, t, v in acc.nonzero():
-            violations.append(Violation(ident, (p, q, t), (v,)))
-    return Report(tuple(violations))
+    sums, divisor = _slot_sums(a, r, r, [_EQUATIONS[ident] for ident in ids])
+    return Report(tuple(Violation(ident, key, (Fraction(v, divisor),)) for ident, acc
+                        in zip(ids, sums) for key, v in sorted(acc.items()) if v))
 
 
 def _require_level(a: ClusterAlgebra, level: int, what: str) -> None:

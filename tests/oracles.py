@@ -211,6 +211,41 @@ def oracle_rota_baxter(a: ClusterAlgebra, matrix) -> bool:
     return True
 
 
+# The canonical coarser projection of each finer level, written out: each
+# operation of the coarser algebra is the sum of the listed finer ones.
+_COARSER = {
+    2: {"star": ("succ", "prec")},
+    4: {"succ": ("ne", "se"), "prec": ("nw", "sw")},
+    8: {"se": ("se1", "se2"), "ne": ("ne1", "ne2"), "nw": ("nw1", "nw2"),
+        "sw": ("sw1", "sw2")},
+}
+
+
+def oracle_homomorphism(finer: ClusterAlgebra, a: ClusterAlgebra, matrix) -> list:
+    """The failing rows of T(e_i o e_j) = T(e_i) op T(e_j), where o runs over
+    the canonical coarser projection of finer and T: finer -> a has the
+    given matrix, as ("hom-op", (i, j), T(e_i o e_j) - T(e_i) op T(e_j))
+    in the checker's order.  Raw loops; an empty list means T is a
+    homomorphism."""
+    d, n = a.dim, finer.dim
+    cols = [[matrix[r, c] for r in range(d)] for c in range(n)]
+    rows = []
+    for op, parts in _COARSER[int(finer.level)].items():
+        coarse = add_sc(*(nested(finer.sc[p]) for p in parts))
+        c = nested(a.sc[op])
+        for i in range(n):
+            for j in range(n):
+                lhs = [F0] * d
+                for k in range(n):
+                    for r in range(d):
+                        lhs[r] += coarse[i][j][k] * cols[k][r]
+                rhs = prod(c, cols[i], cols[j])
+                diff = tuple(x - y for x, y in zip(lhs, rhs))
+                if any(diff):
+                    rows.append((f"hom-{op}", (i, j), diff))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # formal placed-tensor engine for the equations
 

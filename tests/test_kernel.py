@@ -1,9 +1,10 @@
 """The scaled-integer checkers against the Fraction oracles.
 
-check_axioms, check_bimodule and is_o_operator clear each object's
-denominators once and test identities on integers; these properties feed
-them constants with coprime and large prime denominators and compare
-every verdict with the brute-force oracles in tests/oracles.py.
+check_axioms, check_bimodule, is_o_operator, the tensor equations and
+homomorphism_report clear each object's denominators once and test
+identities on integers; these properties feed them constants with
+coprime and large prime denominators and compare every verdict with the
+brute-force oracles in tests/oracles.py.
 """
 
 from fractions import Fraction
@@ -17,7 +18,11 @@ from clusteralg.bimodules import (bimodule_entries, bimodule_from_entries,
 from clusteralg.core import (ClusterAlgebra, Level, algebra_entries,
                              algebra_from_entries, check_axioms)
 from clusteralg.linalg import Matrix
-from clusteralg.operators import InterMap, is_rota_baxter
+from clusteralg.operators import (InterMap, homomorphism_report, induce_on_module,
+                                  is_rota_baxter)
+from clusteralg.yangbaxter import (Tensor2, canonical_double_solution, check_aybe,
+                                   check_d_equation, check_o_equation,
+                                   check_q_equation)
 
 import oracles
 
@@ -29,8 +34,8 @@ nonzero_rationals = st.builds(
 
 
 @st.composite
-def sparse_algebras(draw) -> ClusterAlgebra:
-    level = draw(st.sampled_from((1, 2, 4, 8)))
+def sparse_algebras(draw, levels=(1, 2, 4, 8)) -> ClusterAlgebra:
+    level = draw(st.sampled_from(levels))
     d = draw(st.integers(1, 2 if level == 8 else 3))
     key = st.tuples(st.sampled_from(Level(level).ops), *[st.integers(0, d - 1)] * 3)
     entries = draw(st.dictionaries(key, nonzero_rationals, max_size=2 * d))
@@ -111,4 +116,101 @@ def test_rota_baxter_agrees_with_oracle(data):
     r = InterMap(Matrix(buf))
     rep = is_rota_baxter(a, r)
     assert rep.ok == oracles.oracle_rota_baxter(a, r.matrix)
+    _assert_reported_exactly(rep)
+
+
+def _sparse_grid(draw, rows: int, cols: int) -> Matrix:
+    buf = [[0] * cols for _ in range(rows)]
+    key = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for (i, j), v in draw(st.dictionaries(key, nonzero_rationals,
+                                          max_size=rows * cols)).items():
+        buf[i][j] = v
+    return Matrix(buf)
+
+
+# checker, oracle and the ids the oracle's parts evaluate, in order
+EQUATIONS = {1: (check_aybe, "oracle_aybe", ("2.2.1",)),
+             2: (check_d_equation, "oracle_d_equation", ("2.3.10",)),
+             4: (check_q_equation, "oracle_q_equation", ("3.4.17", "3.4.18")),
+             8: (check_o_equation, "oracle_o_equation",
+                 ("4.4.23", "4.4.24", "4.4.25", "4.4.26"))}
+CANONICAL = [canonical_double_solution(a, v) for a in ALGEBRAS for v, level in (
+    ("Cor2.2.8", 2), ("Cor3.3.8", 2), ("Cor4.2.10", 4), ("Cor4.4.13", 8))
+    if int(a.level) == level and a.dim <= 3]
+
+
+@st.composite
+def equation_inputs(draw) -> tuple[ClusterAlgebra, Tensor2]:
+    """A sparse algebra with a sparse tensor, or a canonical solution on its
+    double with the algebra and the tensor each scaled by its own factor
+    (which keeps a solution one), the tensor perhaps mutated."""
+    if draw(st.booleans()):
+        a = draw(sparse_algebras())
+        return a, Tensor2(_sparse_grid(draw, a.dim, a.dim))
+    lift = draw(st.sampled_from(CANONICAL))
+    a = _scaled(lift.double, draw(nonzero_rationals))
+    c = draw(nonzero_rationals)
+    buf = [[0] * a.dim for _ in range(a.dim)]
+    for i, j, v in _mutated(draw, [(i, j, c * v) for i, j, v in lift.tensor.entries()]):
+        buf[i][j] = v
+    return a, Tensor2(Matrix(buf))
+
+
+def _oracle_counts(name: str, a: ClusterAlgebra, r: Tensor2) -> tuple[bool, list[int]]:
+    """The oracle's verdict, and the number of nonzero entries of each
+    identity it evaluated (it stops at the first failing one)."""
+    counts = []
+    formal_sum = oracles._formal_sum
+
+    def recording(*args):
+        total = formal_sum(*args)
+        counts.append(sum(1 for plane in total for row in plane for v in row if v))
+        return total
+
+    oracles._formal_sum = recording
+    try:
+        return getattr(oracles, name)(a, r), counts
+    finally:
+        oracles._formal_sum = formal_sum
+
+
+@settings(max_examples=150, deadline=None)
+@given(equation_inputs())
+def test_equations_agree_with_oracle(case):
+    a, r = case
+    checker, oracle, ids = EQUATIONS[int(a.level)]
+    rep = checker(a, r)
+    ok, counts = _oracle_counts(oracle, a, r)
+    assert rep.ok == ok
+    per_id = [sum(1 for v in rep.violations if v.identity_id == i) for i in ids]
+    assert per_id[:len(counts)] == counts
+    _assert_reported_exactly(rep)
+
+
+@st.composite
+def homomorphism_inputs(draw) -> tuple[ClusterAlgebra, ClusterAlgebra, InterMap]:
+    """A sparse finer algebra and a sparse algebra at half its level with a
+    sparse map between them, or the structure a catalog Rota-Baxter map
+    (a homomorphism onto its algebra) or a mutant of it induces on the
+    regular bimodule of its algebra scaled by a factor."""
+    if draw(st.booleans()):
+        finer = draw(sparse_algebras(levels=(2, 4, 8)))
+        a = draw(sparse_algebras(levels=(int(finer.level) // 2,)))
+        return finer, a, InterMap(_sparse_grid(draw, a.dim, finer.dim))
+    base, r = draw(st.sampled_from(MAPS))
+    a = _scaled(base, draw(nonzero_rationals))
+    buf = [[0] * a.dim for _ in range(a.dim)]
+    for i, j, v in _mutated(draw, list(r.matrix.nonzero())):
+        buf[i][j] = v
+    t = InterMap(Matrix(buf))
+    return induce_on_module(a, regular_bimodule(a), t, check=False, verify=False), a, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(homomorphism_inputs())
+def test_homomorphism_agrees_with_oracle(case):
+    finer, a, t = case
+    rep = homomorphism_report(finer, a, t)
+    assert [(v.identity_id, v.witness, v.discrepancy) for v in rep.violations] \
+        == oracles.oracle_homomorphism(finer, a, t.matrix)
     _assert_reported_exactly(rep)
