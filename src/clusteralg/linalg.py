@@ -4,10 +4,10 @@ Everything in this package is computed over the rational field; there
 is no floating point anywhere, so every identity check reduces to an
 exact zero test.  The objects here store ``fractions.Fraction`` entries
 densely, which suits building and transforming desk-scale objects.  The
-identity checkers (``core.check_axioms``, ``bimodules.check_bimodule``,
-``operators.is_o_operator``) do not evaluate in ``Fraction``: they clear
-each object's denominators once and test on sparse Python-int fibres
-(``core.scaled_fibres``), which is several times faster and as exact.
+identity checkers (axioms, bimodules, O-operators, the tensor equations,
+the homomorphism test) do not evaluate in ``Fraction``: they clear each
+object's denominators once (``core.scaled_fibres``, ``Matrix.scaled_cols``)
+and test on sparse Python ints, which is several times faster and as exact.
 
 Square systems are solved by fraction-free (Bareiss) Gaussian
 elimination on an integer-cleared augmented matrix, which keeps the
