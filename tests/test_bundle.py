@@ -163,3 +163,175 @@ def test_check_exits_zero_one_or_two(doc, name):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["check", str(path), name])
     assert code in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# golden error corpus: the exact first BundleError of broken documents
+
+def _q(**sections) -> dict:
+    return {"field": "Q", **sections}
+
+
+_ALG = {"level": 1, "dim": 2, "sc": [["star", 0, 0, 1, "1"]]}
+_DEND = {"level": 2, "dim": 2, "sc": [["succ", 0, 0, 1, "1"]]}
+
+
+def _alg(**kw) -> dict:
+    return {"algebras": {"a": {**_ALG, **kw}}}
+
+
+def _bim(**kw) -> dict:
+    return {"bimodules": {"m": {"level": 1, "algebra_dim": 2, "module_dim": 2, **kw}}}
+
+
+def _map(**kw) -> dict:
+    return {"maps": {"t": {"source_dim": 2, "target_dim": 2, **kw}}}
+
+
+def _ten(**kw) -> dict:
+    return {"tensors": {"r": {"dim": 2, **kw}}}
+
+
+def _form(**kw) -> dict:
+    return {"forms": {"f": {"dim": 2, **kw}}}
+
+
+GOLDEN_ERRORS = [
+    # not a bundle
+    ([], "bundle must be a JSON object"),
+    ({"algebras": {}}, 'bundle must declare "field": "Q"'),
+    (_q(extra=1, more=2), "unknown top-level keys: ['extra', 'more']"),
+    (_q(maps=[]), "section 'maps' must be a name->object map"),
+    # rational literals
+    (_q(**_alg(sc=[["star", 0, 0, 0, 1]])), "algebras/a: rationals must be strings, got 1"),
+    (_q(**_bim(entries=[["l", "star", 0, 0, 0, None]])),
+     "bimodules/m: rationals must be strings, got None"),
+    (_q(**_map(entries=[[0, 0, "x"]])), "maps/t: not a rational literal: 'x'"),
+    (_q(**_ten(entries=[[0, 1, "1/0"]])), "tensors/r: not a rational literal: '1/0'"),
+    (_q(**_form(entries=[[0, 0, "1.5"]])), "forms/f: not a rational literal: '1.5'"),
+    (_q(**_form(entries=[[0, 0, " 1_0 / -4 "], [0, 1, "1__0"]])),
+     "forms/f: not a rational literal: '1__0'"),
+    (_q(**_map(entries=[[0, 0, "+3"], [1, 1, "1 0"]])),
+     "maps/t: not a rational literal: '1 0'"),
+    (_q(**_ten(entries=[[0, 0, "_1"]])), "tensors/r: not a rational literal: '_1'"),
+    # indices
+    (_q(**_alg(sc=[["star", True, 0, 0, "1"]])),
+     "algebras/a: entry ['star', True, 0, 0, '1']: index True is not a non-negative integer"),
+    (_q(**_bim(entries=[["r", "star", 0, 1.0, 0, "1"]])),
+     "bimodules/m: entry ['r', 'star', 0, 1.0, 0, '1']: index 1.0 is not a "
+     "non-negative integer"),
+    (_q(**_map(entries=[[2, 0, "1"]])),
+     "maps/t: entry [2, 0, '1']: index 2 is outside 0..1"),
+    (_q(**_map(target_dim=0, entries=[[0, 0, "1"]])),
+     "maps/t: entry [0, 0, '1']: index 0 is outside 0..-1"),
+    (_q(**_form(entries=[[0, -1, "1"]])),
+     "forms/f: entry [0, -1, '1']: index -1 is not a non-negative integer"),
+    (_q(**_ten(entries=[["0", 0, "1"]])),
+     "tensors/r: entry ['0', 0, '1']: index '0' is not a non-negative integer"),
+    # duplicates
+    (_q(**_alg(sc=[["star", 0, 0, 1, "1"], ["star", 0, 0, 1, "2"]])),
+     "algebras/a: entry ['star', 0, 0, 1, '2']: duplicate of an earlier entry "
+     "at the same position"),
+    (_q(**_ten(entries=[[1, 0, "1"], [0, 1, "1"], [1, 0, "1"]])),
+     "tensors/r: entry [1, 0, '1']: duplicate of an earlier entry at the same position"),
+    # operations, sides and the level-8 bimodule
+    (_q(algebras={"a": {**_DEND, "sc": [["succ", 0, 0, 0, "1"], ["star", 0, 1, 1, "1"]]}}),
+     "algebras/a: bad algebra object: operation 'star' not defined at level 2"),
+    (_q(**_bim(entries=[["x", "star", 0, 0, 0, "1"]])),
+     "bimodules/m: bad bimodule object: bad bimodule entry side/op: 'x'/'star'"),
+    (_q(**_bim(level=4, entries=[["l", "se", 0, 0, 0, "1"], ["r", "succ", 0, 0, 0, "1"]])),
+     "bimodules/m: bad bimodule object: bad bimodule entry side/op: 'r'/'succ'"),
+    (_q(**_bim(level=8, entries=[["l", "se1", 0, 0, 0, "1"]])),
+     "bimodules/m: bad bimodule object: no level-8 bimodule is defined"),
+    # levels and keys
+    (_q(**_alg(level=3)), "algebras/a: bad algebra object: level must be one of 1, 2, 4, 8, "
+     "got 3"),
+    (_q(**_alg(level="2")), "algebras/a: level '2' is not a non-negative integer"),
+    (_q(**_bim(level=0)), "bimodules/m: bad bimodule object: level must be one of 1, 2, 4, "
+     "8, got 0"),
+    (_q(algebras={"a": {"level": 1, "dim": 2}}), "algebras/a: bad algebra object: 'sc'"),
+    (_q(algebras={"a": {"dim": 1, "sc": []}}), "algebras/a: bad algebra object: 'level'"),
+    (_q(bimodules={"m": {"level": 1, "algebra_dim": 1}}),
+     "bimodules/m: bad bimodule object: 'module_dim'"),
+    (_q(maps={"t": {"target_dim": 1}}), "maps/t: bad map object: 'source_dim'"),
+    (_q(tensors={"r": {"entries": []}}), "tensors/r: bad tensor object: 'dim'"),
+    (_q(forms={"f": [1, 2]}),
+     "forms/f: bad form object: list indices must be integers or slices, not str"),
+    (_q(**_alg(sc=5)), "algebras/a: bad algebra object: 'int' object is not iterable"),
+    # entries of the wrong shape
+    (_q(**_alg(sc=[["star", 0, 0, 1]])),
+     "algebras/a: bad algebra object: not enough values to unpack (expected 5, got 4)"),
+    (_q(**_bim(entries=[["l", "star", 0, 0, 0, "1", "2"]])),
+     "bimodules/m: bad bimodule object: too many values to unpack (expected 6)"),
+    (_q(**_map(entries=[7])), "maps/t: bad map object: cannot unpack non-iterable int object"),
+    (_q(**_ten(entries=[[0, 1]])),
+     "tensors/r: bad tensor object: not enough values to unpack (expected 3, got 2)"),
+    (_q(**_form(entries=["ab"])),
+     "forms/f: bad form object: not enough values to unpack (expected 3, got 2)"),
+    (_q(**_alg(sc=[[["star"], 0, 0, 0, "1"]])),
+     "algebras/a: bad algebra object: unhashable type: 'list'"),
+    # declared symmetry
+    (_q(**_ten(symmetry="odd")), "tensors/r: unknown symmetry 'odd'"),
+    (_q(**_ten(symmetry=["skew"])), "tensors/r: unknown symmetry ['skew']"),
+    (_q(**_ten(symmetry="skew", entries=[[0, 1, "1"], [1, 0, "1"]])),
+     "tensors/r: tensor declared skew is not skew-symmetric"),
+    (_q(**_ten(symmetry="skew", entries=[[1, 1, "1/2"]])),
+     "tensors/r: tensor declared skew is not skew-symmetric"),
+    (_q(**_ten(symmetry="sym", entries=[[0, 1, "1/2"], [1, 0, "2/4 "], [1, 1, "3"],
+                                        [0, 0, "1"], [1, 0, "-1"]])),
+     "tensors/r: entry [1, 0, '-1']: duplicate of an earlier entry at the same position"),
+    (_q(**_ten(symmetry="sym", entries=[[0, 1, "1/2"], [1, 0, "-1/2"]])),
+     "tensors/r: tensor declared sym is not symmetric"),
+    (_q(**_ten(symmetry="sym", entries=[[0, 1, "1"]])),
+     "tensors/r: tensor declared sym is not symmetric"),
+    # references and the dimension cap
+    (_q(**_map(algebra="nosuch")), "maps/t: reference algebra='nosuch' does not resolve"),
+    (_q(**_alg(), **_map(algebra="a", bimodule="a")),
+     "maps/t: reference bimodule='a' does not resolve"),
+    (_q(**_ten(algebra=3)), "tensors/r: reference algebra=3 does not resolve"),
+    (_q(**_alg(dim=MAX_DIM + 1)), f"algebras/a: dim {MAX_DIM + 1} exceeds the cap of {MAX_DIM}"),
+    (_q(**_ten(dim=MAX_DIM + 1)), f"tensors/r: dim {MAX_DIM + 1} exceeds the cap of {MAX_DIM}"),
+    (_q(**_bim(level=8, module_dim=2**40)),
+     f"bimodules/m: module_dim {2**40} exceeds the cap of {MAX_DIM}"),
+    # precedence: two faults in one object
+    (_q(**_alg(level=3, sc=[["star", 0, 0, 0, "x"]])), "algebras/a: not a rational literal: 'x'"),
+    (_q(algebras={"a": {**_DEND, "sc": [["star", 0, 0, 0, "1"], ["succ", 0, 0, 0, "x"]]}}),
+     "algebras/a: not a rational literal: 'x'"),
+    (_q(**_alg(sc=[["star", 0, 0, 0, "1"], ["star", 0, 0, 0, "x"]])),
+     "algebras/a: entry ['star', 0, 0, 0, 'x']: duplicate of an earlier entry "
+     "at the same position"),
+    (_q(**_map(entries=[[0, 5, "x"]])), "maps/t: entry [0, 5, 'x']: index 5 is outside 0..1"),
+    (_q(**_bim(level=8, entries=[["l", "star", 0, 0, 0, "1"]])),
+     "bimodules/m: bad bimodule object: bad bimodule entry side/op: 'l'/'star'"),
+    (_q(**_bim(level=9, entries=[["l", "star", 0, 0, 0, "1"], ["l", "star", 0, 0, 1, "y"]])),
+     "bimodules/m: not a rational literal: 'y'"),
+    (_q(**_ten(symmetry="odd", entries=[[0, 0, "1"], [0, 0, "1"]])),
+     "tensors/r: entry [0, 0, '1']: duplicate of an earlier entry at the same position"),
+    (_q(**_ten(symmetry="sym", entries=[[0, 1, "1"]], algebra="nosuch")),
+     "tensors/r: tensor declared sym is not symmetric"),
+    (_q(**_alg(sc=[["star", 0, 0, 0, "1"], ["star", 0, 0]], level="x")),
+     "algebras/a: bad algebra object: not enough values to unpack (expected 5, got 3)"),
+    # precedence: faults in two sections or two objects
+    (_q(**_map(entries=[[0, 0, "x"]]), **_alg(level=3)),
+     "algebras/a: bad algebra object: level must be one of 1, 2, 4, 8, got 3"),
+    (_q(**_form(entries=[[0, 0, "x"]]), **_ten(symmetry="odd")),
+     "tensors/r: unknown symmetry 'odd'"),
+    (_q(**_map(algebra="nosuch"), **_form(entries=[[0, 0, "x"]])),
+     "forms/f: not a rational literal: 'x'"),
+    (_q(maps={"t": {"source_dim": 1, "target_dim": 1, "algebra": "z"},
+              "s": {"source_dim": 1, "target_dim": 1, "algebra": "y"}}),
+     "maps/t: reference algebra='z' does not resolve"),
+    (_q(maps={"t": {"source_dim": 1, "target_dim": 1, "bimodule": "z"}},
+        **_bim(algebra="y")),
+     "bimodules/m: reference algebra='y' does not resolve"),
+    (_q(forms={"g": {"dim": 1, "entries": [[0, 0, 0]]}, "f": {"dim": 1, "entries": [[1, 0, "1"]]}}),
+     "forms/g: rationals must be strings, got 0"),
+]
+
+
+@pytest.mark.parametrize("doc, message", GOLDEN_ERRORS,
+                         ids=[f"{i:02d}" for i in range(len(GOLDEN_ERRORS))])
+def test_golden_bundle_errors(doc, message):
+    with pytest.raises(BundleError) as info:
+        parse_bundle(doc)
+    assert str(info.value) == message
