@@ -21,18 +21,26 @@ name the same position.  A declared tensor symmetry is verified at parse
 time, and all name cross-references must resolve.  Serialisation is
 canonical (sorted entries and keys) so identical objects give
 byte-identical documents.
+
+``parse_bundle`` checks every object and refuses the first fault, but
+builds nothing (literals stay strings): an object is built the first
+time it is read from its section, then kept, so checking one object
+builds only it and the objects it names.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from .bimodules import Bimodule, bimodule_entries, bimodule_from_entries
-from .core import ClusterAlgebra, algebra_entries, algebra_from_entries
+from .core import (ClusterAlgebra, Level, LevelError, algebra_entries,
+                   algebra_from_entries)
 from .forms import BilinearForm
-from .linalg import Matrix, format_rational, parse_rational
+from .linalg import Matrix, format_rational, parse_rational, rational_parts
 from .operators import InterMap
 from .yangbaxter import Tensor2
 
@@ -50,11 +58,12 @@ class BundleError(ValueError):
     pass
 
 
-def _rat(value) -> object:
+def _literal(value) -> None:
+    """Check a rational literal's syntax; it stays a string until built."""
     if not isinstance(value, str):
         raise BundleError(f"rationals must be strings, got {value!r}")
     try:
-        return parse_rational(value)
+        rational_parts(value)
     except ValueError as exc:
         raise BundleError(str(exc)) from None
 
@@ -74,20 +83,59 @@ def _dim(doc: dict, key: str) -> int:
     return value
 
 
-def _index(entry, value, dim: int) -> int:
-    """One basis index of an entry: an integer in 0..dim-1."""
-    if type(value) is not int or not 0 <= value < dim:
-        _int(value, f"entry {entry!r}: index")  # raises unless an integer >= 0
-        raise BundleError(f"entry {entry!r}: index {value} is outside 0..{dim - 1}")
-    return value
+def _bad_index(entry, value, dim: int) -> NoReturn:
+    """Refuse a basis index of an entry that is not in 0..dim-1."""
+    _int(value, f"entry {entry!r}: index")  # raises unless an integer >= 0
+    raise BundleError(f"entry {entry!r}: index {value} is outside 0..{dim - 1}")
 
 
-def _first(seen: set, entry, key) -> None:
-    """Record an entry's position; a second entry for it is refused."""
-    if key in seen:
-        raise BundleError(f"entry {entry!r}: duplicate of an earlier entry "
-                          "at the same position")
-    seen.add(key)
+def _fields(entry, width: int) -> tuple:
+    """An entry that is not a list of width items, unpacked as its kind
+    unpacks it: a wrong shape raises the unpacking error."""
+    if width == 3:
+        r, c, v = entry
+        return r, c, v
+    if width == 5:
+        op, i, j, k, v = entry
+        return op, i, j, k, v
+    side, op, i, r, c, v = entry
+    return side, op, i, r, c, v
+
+
+def _rows(entries, lead: int, dims: tuple[int, ...], literals: set) -> dict[tuple, str]:
+    """Check the entries [*names, *indices, "p/q"] of one object: lead
+    names (side, op), one basis index per dim, a rational literal.
+
+    Returns position -> literal in entry order.  Each entry is checked in
+    turn: its shape, its indices in order, then its position against the
+    earlier entries, then its literal unless it is in literals, the set of
+    the bundle's literals already checked.
+    """
+    width = lead + len(dims) + 1
+    indices = tuple(enumerate(dims, lead))  # (field number, dim)
+    rows: dict[tuple, str] = {}
+    for entry in entries:
+        fields = (entry if type(entry) is list and len(entry) == width
+                  else _fields(entry, width))
+        for n, dim in indices:
+            x = fields[n]
+            if type(x) is not int or not 0 <= x < dim:
+                _bad_index(entry, x, dim)
+        pos = tuple(fields[:-1])
+        if pos in rows:
+            raise BundleError(f"entry {entry!r}: duplicate of an earlier entry "
+                              "at the same position")
+        v = rows[pos] = fields[-1]
+        if type(v) is not str or v not in literals:
+            _literal(v)
+            literals.add(v)
+    return rows
+
+
+def _values(rows: dict[tuple, str]) -> list[tuple]:
+    """Checked rows as (*position, Fraction); each literal is parsed once."""
+    value = {v: parse_rational(v) for v in set(rows.values())}
+    return [(*pos, value[v]) for pos, v in rows.items()]
 
 
 def serialize_algebra(a: ClusterAlgebra) -> dict:
@@ -96,21 +144,15 @@ def serialize_algebra(a: ClusterAlgebra) -> dict:
     return {"level": int(a.level), "dim": a.dim, "sc": sc}
 
 
-def parse_algebra(doc: dict) -> ClusterAlgebra:
-    try:
-        dim = _dim(doc, "dim")
-        rows, seen = [], set()
-        for entry in doc["sc"]:
-            op, i, j, k, v = entry
-            row = (op, _index(entry, i, dim), _index(entry, j, dim),
-                   _index(entry, k, dim))
-            _first(seen, entry, row)
-            rows.append((*row, _rat(v)))
-        return algebra_from_entries(_int(doc["level"], "level"), dim, rows)
-    except BundleError:
-        raise
-    except Exception as exc:
-        raise BundleError(f"bad algebra object: {exc}") from exc
+def _check_algebra(doc: dict, literals: set) -> tuple:
+    dim = _dim(doc, "dim")
+    rows = _rows(doc["sc"], 1, (dim, dim, dim), literals)
+    level = Level.of(_int(doc["level"], "level"))
+    ops = level.ops
+    bad = [op for op, *_ in rows if op not in ops]
+    if bad:
+        raise LevelError(f"operation {bad[0]!r} not defined at level {int(level)}")
+    return level, dim, rows
 
 
 def serialize_bimodule(m: Bimodule) -> dict:
@@ -120,22 +162,17 @@ def serialize_bimodule(m: Bimodule) -> dict:
             "module_dim": m.module_dim, "entries": rows}
 
 
-def parse_bimodule(doc: dict) -> Bimodule:
-    try:
-        d = _dim(doc, "algebra_dim")
-        md = _dim(doc, "module_dim")
-        rows, seen = [], set()
-        for entry in doc.get("entries", []):
-            side, op, i, r, c, v = entry
-            row = (side, op, _index(entry, i, d), _index(entry, r, md),
-                   _index(entry, c, md))
-            _first(seen, entry, row)
-            rows.append((*row, _rat(v)))
-        return bimodule_from_entries(_int(doc["level"], "level"), d, md, rows)
-    except BundleError:
-        raise
-    except Exception as exc:
-        raise BundleError(f"bad bimodule object: {exc}") from exc
+def _check_bimodule(doc: dict, literals: set) -> tuple:
+    d, md = _dim(doc, "algebra_dim"), _dim(doc, "module_dim")
+    rows = _rows(doc.get("entries", []), 2, (d, md, md), literals)
+    level = Level.of(_int(doc["level"], "level"))
+    ops = level.ops
+    bad = [pos for pos in rows if pos[0] not in ("l", "r") or pos[1] not in ops]
+    if bad:
+        raise LevelError(f"bad bimodule entry side/op: {bad[0][0]!r}/{bad[0][1]!r}")
+    if level == Level.OCTO:
+        raise LevelError("no level-8 bimodule is defined")
+    return level, d, md, rows
 
 
 def serialize_intermap(t: InterMap) -> dict:
@@ -144,36 +181,21 @@ def serialize_intermap(t: InterMap) -> dict:
             "entries": rows}
 
 
-def parse_intermap(doc: dict) -> InterMap:
-    try:
-        rows_n = _dim(doc, "target_dim")
-        cols_n = _dim(doc, "source_dim")
-        return InterMap(_parse_entries(doc, rows_n, cols_n))
-    except BundleError:
-        raise
-    except Exception as exc:
-        raise BundleError(f"bad map object: {exc}") from exc
+def _check_grid(doc: dict, literals: set, rows_key="dim", cols_key="dim") -> tuple:
+    rows_n, cols_n = _dim(doc, rows_key), _dim(doc, cols_key)
+    return rows_n, cols_n, _rows(doc.get("entries", []), 0, (rows_n, cols_n), literals)
+
+
+def _matrix(rows_n: int, cols_n: int, values: list) -> Matrix:
+    """A matrix from (row, col, value) rows; omitted entries are zero."""
+    buf = [[0] * cols_n for _ in range(rows_n)]
+    for r, c, v in values:
+        buf[r][c] = v
+    return Matrix(buf) if rows_n else Matrix.zeros(0, cols_n)
 
 
 def _grid_entries(mat: Matrix) -> list:
     return sorted([i, j, format_rational(v)] for i, j, v in mat.nonzero())
-
-
-def _parse_entries(doc: dict, rows_n: int, cols_n: int) -> Matrix:
-    """A matrix from [[row, col, "p/q"], ...]; omitted entries are zero."""
-    buf = [[0] * cols_n for _ in range(rows_n)]
-    seen: set = set()
-    for entry in doc.get("entries", []):
-        r, c, v = entry
-        r, c = _index(entry, r, rows_n), _index(entry, c, cols_n)
-        _first(seen, entry, (r, c))
-        buf[r][c] = _rat(v)
-    return Matrix(buf) if rows_n else Matrix.zeros(0, cols_n)
-
-
-def _parse_grid(doc: dict) -> Matrix:
-    dim = _dim(doc, "dim")
-    return _parse_entries(doc, dim, dim)
 
 
 def serialize_tensor2(t: Tensor2, symmetry: str | None = None) -> dict:
@@ -183,58 +205,80 @@ def serialize_tensor2(t: Tensor2, symmetry: str | None = None) -> dict:
     return doc
 
 
-def parse_tensor2(doc: dict) -> Tensor2:
-    try:
-        t = Tensor2(_parse_grid(doc))
-    except BundleError:
-        raise
-    except Exception as exc:
-        raise BundleError(f"bad tensor object: {exc}") from exc
+def _symmetric(rows: dict, sign: int) -> bool:
+    """Whether the grid equals sign times its transpose."""
+    value = {pos: parse_rational(v) for pos, v in rows.items()}
+    return all(x == sign * value.get((j, i), 0) for (i, j), x in value.items())
+
+
+def _check_tensor(doc: dict, literals: set) -> tuple:
+    checked = _check_grid(doc, literals)
     declared = doc.get("symmetry")
-    if declared == "skew" and not t.is_skew():
+    if declared == "skew" and not _symmetric(checked[2], -1):
         raise BundleError("tensor declared skew is not skew-symmetric")
-    if declared == "sym" and not t.is_symmetric():
+    if declared == "sym" and not _symmetric(checked[2], 1):
         raise BundleError("tensor declared sym is not symmetric")
     if declared not in (None, "skew", "sym", "none"):
         raise BundleError(f"unknown symmetry {declared!r}")
-    return t
+    return checked
 
 
 def serialize_form(b: BilinearForm) -> dict:
     return {"dim": b.dim, "entries": _grid_entries(b.matrix)}
 
 
-def parse_form(doc: dict) -> BilinearForm:
-    try:
-        return BilinearForm(_parse_grid(doc))
-    except BundleError:
-        raise
-    except Exception as exc:
-        raise BundleError(f"bad form object: {exc}") from exc
-
-
-_PARSERS = {"algebras": parse_algebra, "bimodules": parse_bimodule,
-            "maps": parse_intermap, "tensors": parse_tensor2,
-            "forms": parse_form}
-
-_REF_KEYS = {"algebras": (), "bimodules": ("algebra",),
-             "maps": ("algebra", "bimodule"), "tensors": ("algebra",),
-             "forms": ("algebra",)}
+# per section: the kind named in errors, the reference keys, the check
+# (raising the first fault, building nothing; it returns (*parts, rows))
+# and the build from (*parts, rows as values), which looks its
+# constructor up when it runs
+_KINDS = {
+    "algebras": ("algebra", (), _check_algebra, lambda *c: algebra_from_entries(*c)),
+    "bimodules": ("bimodule", ("algebra",), _check_bimodule,
+                  lambda *c: bimodule_from_entries(*c)),
+    "maps": ("map", ("algebra", "bimodule"),
+             lambda doc, lits: _check_grid(doc, lits, "target_dim", "source_dim"),
+             lambda *c: InterMap(_matrix(*c))),
+    "tensors": ("tensor", ("algebra",), _check_tensor, lambda *c: Tensor2(_matrix(*c))),
+    "forms": ("form", ("algebra",), _check_grid, lambda *c: BilinearForm(_matrix(*c))),
+}
 
 _REF_SECTION = {"algebra": "algebras", "bimodule": "bimodules"}
 
 
-@dataclass
-class Bundle:
-    algebras: dict[str, ClusterAlgebra] = field(default_factory=dict)
-    bimodules: dict[str, Bimodule] = field(default_factory=dict)
-    maps: dict[str, InterMap] = field(default_factory=dict)
-    tensors: dict[str, Tensor2] = field(default_factory=dict)
-    forms: dict[str, BilinearForm] = field(default_factory=dict)
-    refs: dict[tuple[str, str], dict[str, str]] = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+class Section(Mapping):
+    """One section of a parsed bundle, name -> object.  Membership,
+    iteration and len build nothing; an object is built on its first read."""
 
-    def section(self, kind: str) -> dict:
+    def __init__(self, build: Callable, checked: dict[str, tuple]):
+        self._build, self._checked, self._built = build, checked, {}
+
+    def __getitem__(self, name: str):
+        if name not in self._built:
+            *parts, rows = self._checked[name]
+            self._built[name] = self._build(*parts, _values(rows))
+        return self._built[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._checked
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._checked)
+
+    def __len__(self) -> int:
+        return len(self._checked)
+
+
+@dataclass(frozen=True)
+class Bundle:
+    algebras: Section
+    bimodules: Section
+    maps: Section
+    tensors: Section
+    forms: Section
+    refs: dict[tuple[str, str], dict[str, str]]
+    raw: dict
+
+    def section(self, kind: str) -> Section:
         return getattr(self, kind)
 
     def find(self, name: str, kind: str | None = None) -> tuple[str, object]:
@@ -246,20 +290,20 @@ class Bundle:
                 return kind, self.section(kind)[name]
             except KeyError:
                 raise BundleError(f"no {kind[:-1]} named {name!r} in the bundle") from None
-        hits = [(s, self.section(s)[name]) for s in SECTIONS
-                if name in self.section(s)]
-        if not hits:
+        kinds = [s for s in SECTIONS if name in self.section(s)]
+        if not kinds:
             raise BundleError(f"no object named {name!r} in the bundle")
-        if len(hits) > 1:
+        if len(kinds) > 1:
             raise BundleError(f"name {name!r} is ambiguous across sections "
-                              f"{[s for s, _ in hits]}; pass --kind")
-        return hits[0]
+                              f"{kinds}; pass --kind")
+        return kinds[0], self.section(kinds[0])[name]
 
     def ref(self, kind: str, name: str, key: str) -> str | None:
         return self.refs.get((kind, name), {}).get(key)
 
 
 def parse_bundle(doc: dict) -> Bundle:
+    """Check every object of doc; each is built when it is first read."""
     if not isinstance(doc, dict):
         raise BundleError("bundle must be a JSON object")
     if doc.get("field") != "Q":
@@ -267,32 +311,38 @@ def parse_bundle(doc: dict) -> Bundle:
     unknown = set(doc) - set(SECTIONS) - {"field"}
     if unknown:
         raise BundleError(f"unknown top-level keys: {sorted(unknown)}")
-    out = Bundle(raw=doc)
+    checked: dict[str, dict[str, tuple]] = {}
+    refs: dict[tuple[str, str], dict[str, str]] = {}
+    literals: set[str] = set()  # checked once for the whole bundle
     for section in SECTIONS:
         objects = doc.get(section, {})
         if not isinstance(objects, dict):
             raise BundleError(f"section {section!r} must be a name->object map")
+        what, ref_keys, check, _ = _KINDS[section]
+        checked[section] = {}
         for name, obj in objects.items():
             try:
-                parsed = _PARSERS[section](obj)
+                checked[section][name] = check(obj, literals)
             except BundleError as exc:
                 raise BundleError(f"{section}/{name}: {exc}") from None
-            out.section(section)[name] = parsed
-            refs = {k: obj[k] for k in _REF_KEYS[section] if k in obj}
-            if refs:
-                out.refs[(section, name)] = refs
-    for (section, name), refs in out.refs.items():
-        for key, target in refs.items():
-            if not isinstance(target, str) or target not in out.section(_REF_SECTION[key]):
+            except Exception as exc:
+                raise BundleError(f"{section}/{name}: bad {what} object: {exc}") from None
+            obj_refs = {k: obj[k] for k in ref_keys if k in obj}
+            if obj_refs:
+                refs[(section, name)] = obj_refs
+    for (section, name), obj_refs in refs.items():
+        for key, target in obj_refs.items():
+            if not isinstance(target, str) or target not in checked[_REF_SECTION[key]]:
                 raise BundleError(f"{section}/{name}: reference {key}={target!r} "
                                   "does not resolve")
-    return out
+    return Bundle(**{s: Section(_KINDS[s][3], checked[s]) for s in SECTIONS},
+                  refs=refs, raw=doc)
 
 
 def load_bundle(path: str | Path) -> Bundle:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BundleError(f"cannot read bundle: {exc}") from exc
     try:
         doc = json.loads(text)

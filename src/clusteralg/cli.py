@@ -112,11 +112,9 @@ def _cmd_check(args) -> int:
         if args.equation == "auto":
             checker = {1: check_aybe, 2: check_d_equation, 4: check_q_equation,
                        8: check_o_equation}[int(alg.level)]
-            rep = checker(alg, obj)
         else:
             _, checker = _EQ_CHECKERS[args.equation]
-            rep = checker(alg, obj)
-        return _print_report(args.name, rep, args.json)
+        return _print_report(args.name, checker(alg, obj), args.json)
     # forms: check the requested classification flags
     alg = _context_algebra(bundle, kind, args.name, args.algebra)
     if not args.require:
@@ -207,7 +205,6 @@ def _cmd_derive(args) -> int:
             rep = check_axioms(result)
             if not rep.ok:
                 raise VerificationFailed("projection fails its axioms", rep)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "dual-bimodule":
         a_name, m_name = need(2)
         alg = get("algebras", a_name)
@@ -224,51 +221,42 @@ def _cmd_derive(args) -> int:
         alg = get("algebras", a_name)
         result = semidirect_sum(alg, _resolve_bimodule(bundle, alg, m_name),
                                 check=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "induce":
         a_name, m_name, t_name = need(3)
         alg = get("algebras", a_name)
         result = induce_on_module(alg, _resolve_bimodule(bundle, alg, m_name),
                                   get("maps", t_name), check=True, verify=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "rb-finer":
         a_name, r_name = need(2)
         result = rb_finer(get("algebras", a_name), get("maps", r_name),
                           verify=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "rb-pair":
         a_name, r1, r2 = need(3)
         result = rb_pair_quadri(get("algebras", a_name), get("maps", r1),
                                 get("maps", r2), verify=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "rb-triple":
         a_name, r1, r2, r3 = need(4)
         result = rb_triple_octo(get("algebras", a_name), get("maps", r1),
                                 get("maps", r2), get("maps", r3), verify=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "compatible":
         a_name, m_name, t_name = need(3)
         alg = get("algebras", a_name)
         result = compatible_from_invertible(
             alg, _resolve_bimodule(bundle, alg, m_name), get("maps", t_name),
             verify=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "finer-from-form":
         a_name, f_name = need(2)
         result = finer_from_form(get("algebras", a_name), get("forms", f_name),
                                  verify=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "dual-product":
         a_name, r_name = need(2)
         result = induce_dual_product(get("algebras", a_name),
                                      get("tensors", r_name), verify=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "double-product":
         a_name, dual_name = need(2)
         result = double_product(get("algebras", a_name),
                                 get("algebras", dual_name),
                                 args.variant or "frobenius", verify=verify)
-        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
     elif construction == "canonical-solution":
         (a_name,) = need(1)
         if not args.variant:
@@ -299,14 +287,13 @@ def _cmd_derive(args) -> int:
         out["tensors"] = {f"{name}_tensor": tensor_doc}
     else:
         raise BundleError(f"unknown construction {construction!r}")
+    if not out:  # the construction built one algebra
+        out["algebras"] = {name: bundle_mod.serialize_algebra(result)}
 
     if args.out:
         path = Path(args.out)
-        if path.exists():
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            bundle_mod.parse_bundle(doc)  # refuse to append to a broken bundle
-        else:
-            doc = {"field": "Q"}
+        # an existing file is read as a bundle: a broken one is refused
+        doc = bundle_mod.load_bundle(path).raw if path.exists() else {"field": "Q"}
         for section, objects in out.items():
             doc.setdefault(section, {}).update(objects)
         bundle_mod.parse_bundle(doc)  # round-trip check before writing
@@ -391,10 +378,7 @@ def main(argv: list[str] | None = None) -> int:
             for v in exc.report.violations[:8]:
                 print(f"  violated {v.identity_id} at {v.witness}", file=sys.stderr)
         return 1
-    except VerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NotCommuting as exc:
+    except (VerificationFailed, NotCommuting) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _USER_ERRORS as exc:

@@ -18,7 +18,8 @@ triple and reports exact discrepancies; identity labels such as
 "3.4.2-1" are stable ids used throughout reports and the CLI.
 
 Evaluation runs on scaled integers.  ``scaled_fibres`` takes the common
-denominator D of an algebra's constants and stores D c as sparse
+denominator D of the constants of the operations a check reads and
+stores D c as sparse
 Python-int fibres (i, j) -> ((k, D c), ...), zeros dropped.  Every axiom
 is homogeneous of degree 2 in the constants, so ``axiom_defect`` yields
 D^2 times the rational defect: the zero test is exact, and only a
@@ -353,22 +354,24 @@ Fibres = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 def scaled_fibres(a: ClusterAlgebra, syms: Iterable[str] | None = None
                   ) -> tuple[int, dict[str, Fibres]]:
-    """a's common denominator D and, per symbol, D times its structure
+    """A common denominator D and, per symbol, D times its structure
     constants as sparse integer fibres.
 
-    D is the lcm of the denominators of a's constants; a derived symbol's
-    fibres are sums of its parts' scaled fibres, so every entry is an
-    integer.  syms defaults to every symbol the axioms of a's level read.
+    Only the base operations the symbols name are read: D is the lcm of
+    their constants' denominators, and a derived symbol's fibres are sums
+    of its parts' scaled fibres, so every entry is an integer.  syms
+    defaults to every symbol the axioms of a's level read.
     """
     level = int(a.level)
     if syms is None:
         syms = {s for _, lhs, rhs in AXIOMS[level] for s in (*lhs[1:], *rhs[1:])}
-    entries = {op: list(t.nonzero()) for op, t in a.sc.items()}
+    parts = {sym: _parts(a, sym) for sym in syms}
+    entries = {op: list(a.sc[op].nonzero()) for ops in parts.values() for op in ops}
     den = lcm(*(v.denominator for rows in entries.values() for *_, v in rows))
     out = {}
-    for sym in syms:
+    for sym, ops in parts.items():
         acc: dict[tuple[int, int], dict[int, int]] = {}
-        for op in _parts(a, sym):
+        for op in ops:
             for i, j, k, v in entries[op]:
                 row = acc.setdefault((i, j), {})
                 row[k] = row.get(k, 0) + v.numerator * (den // v.denominator)

@@ -45,16 +45,21 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def rational_parts(text: str) -> tuple[int, int]:
+    """p and q != 0 of "p" or "p/q" as written: parse_rational's check."""
+    num, sep, den = text.strip().partition("/")
+    try:
+        p, q = int(num), int(den) if sep else 1
+    except ValueError as exc:
+        raise ValueError(f"not a rational literal: {text!r}") from exc
+    if not q:
+        raise ValueError(f"not a rational literal: {text!r}")
+    return p, q
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" with integer p, q and q > 0 after reduction."""
-    s = text.strip()
-    num, sep, den = s.partition("/")
-    try:
-        if not sep:
-            return Fraction(int(num))
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    return Fraction(*rational_parts(text))
 
 
 def format_rational(value: Fraction) -> str:
