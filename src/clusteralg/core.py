@@ -366,7 +366,8 @@ def scaled_fibres(a: ClusterAlgebra, syms: Iterable[str] | None = None
     if syms is None:
         syms = {s for _, lhs, rhs in AXIOMS[level] for s in (*lhs[1:], *rhs[1:])}
     parts = {sym: _parts(a, sym) for sym in syms}
-    entries = {op: list(a.sc[op].nonzero()) for ops in parts.values() for op in ops}
+    ops = {op for sym_ops in parts.values() for op in sym_ops}
+    entries = {op: list(a.sc[op].nonzero()) for op in ops}
     den = lcm(*(v.denominator for rows in entries.values() for *_, v in rows))
     out = {}
     for sym, ops in parts.items():
