@@ -19,11 +19,11 @@ triple and reports exact discrepancies; identity labels such as
 
 Evaluation runs on scaled integers.  ``scaled_fibres`` takes the common
 denominator D of the constants of the operations a check reads and
-stores D c as sparse
-Python-int fibres (i, j) -> ((k, D c), ...), zeros dropped.  Every axiom
-is homogeneous of degree 2 in the constants, so ``axiom_defect`` yields
-D^2 times the rational defect: the zero test is exact, and only a
-reported discrepancy is divided back, as Fraction(v, D^2).
+stores D c as sparse Python-int fibres (i, j) -> ((k, D c), ...), zeros
+dropped.  Every axiom is homogeneous of degree 2 in the constants, so
+``axiom_defect`` yields D^2 times the rational defect: the zero test is
+exact, and only a reported discrepancy is divided back, as
+Fraction(v, D^2).
 """
 
 from __future__ import annotations
@@ -366,8 +366,7 @@ def scaled_fibres(a: ClusterAlgebra, syms: Iterable[str] | None = None
     if syms is None:
         syms = {s for _, lhs, rhs in AXIOMS[level] for s in (*lhs[1:], *rhs[1:])}
     parts = {sym: _parts(a, sym) for sym in syms}
-    ops = {op for sym_ops in parts.values() for op in sym_ops}
-    entries = {op: list(a.sc[op].nonzero()) for op in ops}
+    entries = {op: list(a.sc[op].nonzero()) for op in set().union(*parts.values())}
     den = lcm(*(v.denominator for rows in entries.values() for *_, v in rows))
     out = {}
     for sym, ops in parts.items():

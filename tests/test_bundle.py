@@ -1,17 +1,25 @@
-"""Bundle parsing: the dimension cap, empty shapes, and arbitrary documents."""
+"""Bundle parsing: the dimension cap, empty shapes, arbitrary documents,
+the exact first error, and objects built only when they are read."""
 
 import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusteralg import bundle, cli
-from clusteralg.bundle import MAX_DIM, BundleError, parse_bundle, serialize_intermap
-from clusteralg.core import Level
+from clusteralg import bundle, catalog, cli
+from clusteralg.bimodules import bimodule_from_entries, regular_bimodule
+from clusteralg.bundle import (MAX_DIM, SECTIONS, BundleError, dumps, parse_bundle,
+                               serialize_bimodule, serialize_intermap)
+from clusteralg.core import Level, algebra_from_entries
+from clusteralg.forms import BilinearForm
+from clusteralg.linalg import Matrix, parse_rational
+from clusteralg.operators import InterMap
+from clusteralg.yangbaxter import Tensor2
 
 
 def test_map_without_rows_keeps_its_source_dim():
@@ -335,3 +343,127 @@ def test_golden_bundle_errors(doc, message):
     with pytest.raises(BundleError) as info:
         parse_bundle(doc)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# literals are checked as parse_rational reads them, without a Fraction
+
+_SPACES = st.sampled_from(["", " ", "  ", "\t", "\n "])
+
+
+def _underscored(n: int) -> str:
+    return f"{n:_}"
+
+
+LITERAL_LIKE = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(["0", "1", "7", "_", " ", "-", "+", "/", "\t", "\u0663",
+                              "x", ".", "e"]), max_size=8).map("".join),
+    st.builds("{}{}{}".format, _SPACES, st.integers(-10**6, 10**6).map(_underscored),
+              _SPACES),
+    st.builds("{}{}{}/{}{}".format, _SPACES, st.integers(-10**6, 10**6).map(_underscored),
+              _SPACES, st.integers(-10**4, 10**4).map(_underscored), _SPACES),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(LITERAL_LIKE)
+def test_literal_check_accepts_what_parse_rational_accepts(text):
+    doc = {"field": "Q", "forms": {"f": {"dim": 1, "entries": [[0, 0, text]]}}}
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        with pytest.raises(BundleError) as info:
+            bundle._literal(text)
+        assert str(info.value) == str(exc)
+        with pytest.raises(BundleError) as info:
+            parse_bundle(doc)
+        assert str(info.value) == f"forms/f: {exc}"
+    else:
+        bundle._literal(text)
+        assert parse_bundle(doc).forms["f"] == BilinearForm(Matrix([[value]]))
+
+
+# ---------------------------------------------------------------------------
+# every accepted document builds each object as an eager reference does
+
+def _reference(section: str, obj: dict):
+    """The object built straight from its document, with no bundle code."""
+    if section == "algebras":
+        return algebra_from_entries(obj["level"], obj["dim"], [
+            (op, i, j, k, parse_rational(v)) for op, i, j, k, v in obj["sc"]])
+    if section == "bimodules":
+        return bimodule_from_entries(
+            obj["level"], obj["algebra_dim"], obj["module_dim"],
+            [(side, op, i, r, c, parse_rational(v))
+             for side, op, i, r, c, v in obj.get("entries", [])])
+    rows_n, cols_n = ((obj["target_dim"], obj["source_dim"]) if section == "maps"
+                      else (obj["dim"], obj["dim"]))
+    grid = [[Fraction(0)] * cols_n for _ in range(rows_n)]
+    for r, c, v in obj.get("entries", []):
+        grid[r][c] = parse_rational(v)
+    matrix = Matrix(grid) if rows_n else Matrix.zeros(0, cols_n)
+    return {"maps": InterMap, "tensors": Tensor2, "forms": BilinearForm}[section](matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(BUNDLES, well_formed_bundles()))
+def test_accepted_documents_build_every_object_as_the_reference(doc):
+    try:
+        parsed = parse_bundle(doc)
+    except BundleError:
+        return
+    for section in SECTIONS:
+        objects = doc.get(section, {})
+        assert list(parsed.section(section)) == list(objects)
+        assert len(parsed.section(section)) == len(objects)
+        for name, obj in objects.items():
+            built = parsed.section(section)[name]
+            assert built == _reference(section, obj)
+            assert parsed.section(section)[name] is built  # built once, then kept
+
+
+# ---------------------------------------------------------------------------
+# a command builds only the objects it reads
+
+def _wide_bundle() -> dict:
+    """Four algebras, three regular bimodules and six maps."""
+    cat = catalog.catalog_bundle()
+    algebras = {"a1": "trunc3", "a2": "dend_from_int3", "a4": "quadri_from_int3_pair",
+                "a8": "octo_from_int3_triple"}
+    doc = {"field": "Q", "algebras": {k: cat["algebras"][v] for k, v in algebras.items()},
+           "bimodules": {}, "maps": {}}
+    for lv in (1, 2, 4):
+        alg = catalog.load(algebras[f"a{lv}"]).value
+        doc["bimodules"][f"m{lv}"] = {**serialize_bimodule(regular_bimodule(alg)),
+                                      "algebra": f"a{lv}"}
+        identity = serialize_intermap(InterMap.identity(3))
+        doc["maps"][f"r{lv}"] = {**identity, "algebra": f"a{lv}"}
+        doc["maps"][f"o{lv}"] = {**identity, "algebra": f"a{lv}", "bimodule": f"m{lv}"}
+    return doc
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(bundle, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(bundle, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, algebras, bimodules", [
+    ("a4", 1, 0), ("r2", 1, 0), ("o1", 1, 1), ("m2", 1, 1)])
+def test_check_builds_only_what_it_reads(monkeypatch, tmp_path, name, algebras,
+                                         bimodules):
+    path = tmp_path / "wide.json"
+    path.write_text(dumps(_wide_bundle()), encoding="utf-8")
+    alg_calls = _counting(monkeypatch, "algebra_from_entries")
+    bim_calls = _counting(monkeypatch, "bimodule_from_entries")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["check", str(path), name])
+    assert code in (0, 1) and out.getvalue()
+    assert (len(alg_calls), len(bim_calls)) == (algebras, bimodules)

@@ -370,3 +370,24 @@ def test_consecutive_calls_share_no_option(capsys):
     assert run(capsys, *canonical, "--variant", "Cor2.2.8")[0] == 0
     code, _, err = run(capsys, *canonical)
     assert code == 2 and "canonical-solution needs --variant" in err
+
+
+def test_derive_out_that_cannot_be_read_exit_two(capsys, tmp_path, catalog_path):
+    derive = ("derive", str(catalog_path), "project", "dend_from_int3", "Assoc", "--out")
+    code, out, err = run(capsys, *derive, str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read bundle: ") and "Is a directory" in err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"field": "Q", "algebras": {"\xe9": 1}}'.encode("latin-1"))
+    code, _, err = run(capsys, *derive, str(latin1))
+    assert code == 2
+    assert err.startswith("error: cannot read bundle: 'utf-8' codec can't decode")
+    assert latin1.read_bytes().endswith(b"1}}")  # left as it was
+
+
+def test_non_utf8_bundle_names_the_failure(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"field": "Q", "forms": {"\xe9": {"dim": 0}}}'.encode("latin-1"))
+    code, _, err = run(capsys, "check", str(path), "x")
+    assert code == 2
+    assert err.startswith("error: cannot read bundle: 'utf-8' codec can't decode")
