@@ -467,3 +467,16 @@ def test_check_builds_only_what_it_reads(monkeypatch, tmp_path, name, algebras,
         code = cli.main(["check", str(path), name])
     assert code in (0, 1) and out.getvalue()
     assert (len(alg_calls), len(bim_calls)) == (algebras, bimodules)
+
+
+def test_membership_iteration_and_len_build_nothing(monkeypatch):
+    calls = (_counting(monkeypatch, "algebra_from_entries"),
+             _counting(monkeypatch, "bimodule_from_entries"))
+    parsed = parse_bundle(_wide_bundle())
+    sizes = {s: len(parsed.section(s)) for s in SECTIONS}
+    assert sizes == {"algebras": 4, "bimodules": 3, "maps": 6, "tensors": 0, "forms": 0}
+    for section in SECTIONS:
+        assert all(name in parsed.section(section) for name in parsed.section(section))
+        assert "nosuch" not in parsed.section(section)
+    assert parsed.ref("maps", "o2", "bimodule") == "m2"
+    assert calls == ([], [])
