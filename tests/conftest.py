@@ -6,7 +6,8 @@ import pytest
 
 from clusteralg import catalog
 from clusteralg.catalog import SplitMix64
-from clusteralg.core import ClusterAlgebra, Tensor3
+from clusteralg.core import (ClusterAlgebra, Tensor3, algebra_entries,
+                             algebra_from_entries)
 from clusteralg.linalg import Matrix
 from clusteralg.operators import InterMap
 
@@ -124,3 +125,18 @@ def killing_mutations(kind: str, value, base, seed: int, count: int = 10,
                 break
         out.append(chosen)
     return out
+
+
+def rebased(a: ClusterAlgebra, lam) -> ClusterAlgebra:
+    """a in the basis f_i = lam_i e_i: f_i op f_j = sum_k (lam_i lam_j /
+    lam_k) c[op][i][j][k] f_k, an algebra of a's kind exactly when a is."""
+    return algebra_from_entries(int(a.level), a.dim, [
+        (op, i, j, k, v * lam[i] * lam[j] / lam[k])
+        for op, i, j, k, v in algebra_entries(a)])
+
+
+def rebased_map(t: InterMap, lam, c=1) -> InterMap:
+    """c times t in the basis f_i = lam_i e_i of its (square) space."""
+    d = t.source_dim
+    return InterMap(Matrix([[c * t.matrix[i, j] * lam[j] / lam[i] for j in range(d)]
+                            for i in range(d)]))

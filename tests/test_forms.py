@@ -1,16 +1,21 @@
+import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from clusteralg import catalog
+from clusteralg import catalog, cli
 from clusteralg.bimodules import PreconditionFailed
+from clusteralg.bundle import dumps, serialize_algebra, serialize_form
 from clusteralg.core import check_axioms, project
 from clusteralg.forms import (BilinearForm, bridge_equivalence,
                               canonical_cocycle_form, canonical_invariant_form,
                               classify_form, finer_form_identities,
                               finer_from_form, form_to_tensor, tensor_to_form)
-from clusteralg.linalg import Matrix, Singular
+from clusteralg.linalg import Matrix, Singular, format_rational
 from clusteralg.yangbaxter import Tensor2, canonical_double_solution
+
+from conftest import rebased
 
 
 def test_zero_form_conditions_hold_everywhere():
@@ -236,3 +241,262 @@ def test_cor_433_and_cor_434(dend_int3):
         flr = classify_form(qstar, f).flags
         if flr["quadri_invariant"]:
             assert classify_form(horiz, f).flags["dend_2cocycle"]
+
+
+# Golden form classifications: the Cor2.2.8, Cor3.3.8 and Cor4.2.10
+# doubles and a level-8 catalog algebra, rebased so that their constants
+# have the denominators 2, 3 and 7, with the canonical forms scaled over
+# 5 and 11 and some of them bent off their flags; the level-8 algebra has
+# no form flags.  `classify --json` and `check FORM --require ... --json`
+# must print exactly the JSON below.
+_LAM4 = (Fraction(1, 2), Fraction(7), Fraction(6), Fraction(1))
+_LAM6 = (Fraction(2, 7), Fraction(7), Fraction(6), Fraction(7), Fraction(6),
+         Fraction(1, 2))
+
+
+def _rebased_form(b: BilinearForm, lam, c, bend=()) -> BilinearForm:
+    """c times b in the basis lam_i e_i, plus the entries of bend."""
+    d = b.dim
+    buf = [[c * lam[i] * lam[j] * b.matrix[i, j] for j in range(d)] for i in range(d)]
+    for i, j, v in bend:
+        buf[i][j] += v
+    return BilinearForm(Matrix(buf))
+
+
+@cache
+def _golden_forms_doc() -> dict:
+    dend = catalog.load("dend_from_rb_nil2").value
+    quadri = catalog.load("quadri_from_int3_pair").value
+    algebras = {
+        "l1": rebased(canonical_double_solution(dend, "Cor2.2.8").double, _LAM4),
+        "l2": rebased(canonical_double_solution(dend, "Cor3.3.8").double, _LAM4),
+        "l4": rebased(canonical_double_solution(quadri, "Cor4.2.10").double, _LAM6),
+        "l8": rebased(catalog.load("octo_from_int4_triple").value, _LAM4),
+    }
+    om2, om3 = canonical_cocycle_form(2), canonical_cocycle_form(3)
+    inv2 = canonical_invariant_form(2)
+    forms = {
+        "l1_omega": _rebased_form(om2, _LAM4, Fraction(5, 11)),
+        "l1_bent": _rebased_form(om2, _LAM4, Fraction(5, 11),
+                                 [(0, 1, Fraction(1, 5)), (1, 0, Fraction(-1, 5))]),
+        "l2_inv": _rebased_form(inv2, _LAM4, Fraction(11, 5)),
+        "l2_bent": _rebased_form(inv2, _LAM4, Fraction(11, 5), [(2, 2, Fraction(3, 11))]),
+        "l4_omega": _rebased_form(om3, _LAM6, Fraction(5, 11)),
+        "l4_bent": _rebased_form(om3, _LAM6, Fraction(5, 11),
+                                 [(0, 3, Fraction(1, 5)), (3, 0, Fraction(-1, 5))]),
+        "l8_b": BilinearForm(Matrix([[0, 0, 0, Fraction(5, 11)], [0, Fraction(2, 5), 0, 0],
+                                     [0, 0, 1, 0], [Fraction(-5, 11), 0, 0, 0]])),
+    }
+    return {"field": "Q",
+            "algebras": {k: serialize_algebra(a) for k, a in algebras.items()},
+            "forms": {k: {**serialize_form(b), "algebra": k.split("_")[0]}
+                      for k, b in forms.items()}}
+
+
+def _run_json(capsys, tmp_path, *argv) -> tuple[int, str]:
+    path = tmp_path / "forms.json"
+    path.write_text(dumps(_golden_forms_doc()), encoding="utf-8")
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    return code, capsys.readouterr().out
+
+
+def _pretty(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+GOLDEN_CLASSIFY = {"l1_bent": {"flags": {"connes_cocycle": False, "invariant_assoc": False},
+             "nondegenerate": True,
+             "skew": True,
+             "symmetric": False},
+ "l1_omega": {"flags": {"connes_cocycle": True, "invariant_assoc": False},
+              "nondegenerate": True,
+              "skew": True,
+              "symmetric": False},
+ "l2_bent": {"flags": {"dend_2cocycle": False,
+                       "dend_aux": False,
+                       "dend_cyclic_prec": False,
+                       "dend_cyclic_succ": False,
+                       "dend_inv_prec": False,
+                       "dend_inv_succ": False,
+                       "dend_invariant": False},
+             "nondegenerate": True,
+             "skew": False,
+             "symmetric": True},
+ "l2_inv": {"flags": {"dend_2cocycle": True,
+                      "dend_aux": False,
+                      "dend_cyclic_prec": False,
+                      "dend_cyclic_succ": False,
+                      "dend_inv_prec": False,
+                      "dend_inv_succ": False,
+                      "dend_invariant": False},
+            "nondegenerate": True,
+            "skew": False,
+            "symmetric": True},
+ "l4_bent": {"flags": {"quadri_2cocycle": False,
+                       "quadri_2cocycle_a": False,
+                       "quadri_2cocycle_b": False,
+                       "quadri_aux_1": False,
+                       "quadri_aux_2": False,
+                       "quadri_aux_3": False,
+                       "quadri_aux_4": False,
+                       "quadri_aux_5": False,
+                       "quadri_aux_6": False,
+                       "quadri_inv_ne": False,
+                       "quadri_inv_nw": False,
+                       "quadri_inv_se": False,
+                       "quadri_inv_sw": False,
+                       "quadri_invariant": False},
+             "nondegenerate": True,
+             "skew": True,
+             "symmetric": False},
+ "l4_omega": {"flags": {"quadri_2cocycle": True,
+                        "quadri_2cocycle_a": True,
+                        "quadri_2cocycle_b": True,
+                        "quadri_aux_1": False,
+                        "quadri_aux_2": False,
+                        "quadri_aux_3": False,
+                        "quadri_aux_4": False,
+                        "quadri_aux_5": False,
+                        "quadri_aux_6": False,
+                        "quadri_inv_ne": False,
+                        "quadri_inv_nw": False,
+                        "quadri_inv_se": False,
+                        "quadri_inv_sw": False,
+                        "quadri_invariant": False},
+              "nondegenerate": True,
+              "skew": True,
+              "symmetric": False},
+ "l8_b": {"flags": {}, "nondegenerate": True, "skew": False, "symmetric": False}}
+
+GOLDEN_FORM_CHECKS = [("l1_omega",
+  "skew,connes_cocycle,nondegenerate",
+  0,
+  {"flags": {"connes_cocycle": True, "nondegenerate": True, "skew": True}, "ok": True}),
+ ("l1_bent",
+  "connes_cocycle, skew",
+  1,
+  {"flags": {"connes_cocycle": False, "skew": True}, "ok": False}),
+ ("l2_inv",
+  "dend_2cocycle,symmetric,dend_invariant",
+  1,
+  {"flags": {"dend_2cocycle": True, "dend_invariant": False, "symmetric": True},
+   "ok": False}),
+ ("l2_bent", "dend_2cocycle", 1, {"flags": {"dend_2cocycle": False}, "ok": False}),
+ ("l4_omega",
+  "quadri_2cocycle,quadri_2cocycle_a,skew",
+  0,
+  {"flags": {"quadri_2cocycle": True, "quadri_2cocycle_a": True, "skew": True},
+   "ok": True}),
+ ("l4_bent",
+  "quadri_2cocycle_b,quadri_aux_4,nondegenerate",
+  1,
+  {"flags": {"nondegenerate": True, "quadri_2cocycle_b": False, "quadri_aux_4": False},
+   "ok": False}),
+ ("l8_b",
+  "nondegenerate,symmetric",
+  1,
+  {"flags": {"nondegenerate": True, "symmetric": False}, "ok": False})]
+
+
+@pytest.mark.parametrize("form", sorted(GOLDEN_CLASSIFY))
+def test_classify_json_golden(form, capsys, tmp_path):
+    assert _run_json(capsys, tmp_path, "classify", form.split("_")[0], form, "--json") \
+        == (0, _pretty(GOLDEN_CLASSIFY[form]))
+
+
+@pytest.mark.parametrize("case", range(len(GOLDEN_FORM_CHECKS)))
+def test_check_form_json_golden(case, capsys, tmp_path):
+    form, flags, code, doc = GOLDEN_FORM_CHECKS[case]
+    assert _run_json(capsys, tmp_path, "check", form, "--require", flags, "--json") \
+        == (code, _pretty(doc))
+
+
+# The finer-identity rows of a candidate finer_from_form builds without
+# its flag (from a form G on a rebased catalog algebra that lacks every
+# flag), checked against G with one entry bent: (id, witness, discrepancy)
+# in report order.  A candidate always satisfies the identities of the
+# form it was built from, so the bent form is what makes rows.
+_G = ((Fraction(1, 5), Fraction(2, 11), 0), (Fraction(-3, 11), 0, Fraction(1, 5)),
+      (Fraction(4, 5), 0, Fraction(1, 11)))
+_LAM3 = (Fraction(1, 2), Fraction(3), Fraction(7, 3))
+
+GOLDEN_FINER_ROWS = {"dend_from_int3": (("finer-se", (0, 0, 2), ("-10/1677",)),
+                    ("finer-se", (0, 1, 1), ("-27/70",)),
+                    ("finer-se", (0, 1, 2), ("3267/78260",)),
+                    ("finer-se", (0, 2, 2), ("297/15652",)),
+                    ("finer-se", (1, 1, 0), ("-27/70",)),
+                    ("finer-se", (1, 1, 2), ("-297/7826",)),
+                    ("finer-se", (1, 2, 2), ("-135/7826",)),
+                    ("finer-ne", (0, 0, 2), ("5/1677",)),
+                    ("finer-ne", (1, 0, 1), ("9/70",)),
+                    ("finer-ne", (1, 0, 2), ("-1089/78260",)),
+                    ("finer-ne", (1, 1, 0), ("9/35",)),
+                    ("finer-ne", (1, 1, 2), ("99/3913",)),
+                    ("finer-ne", (2, 0, 2), ("-99/15652",)),
+                    ("finer-ne", (2, 1, 2), ("45/3913",)),
+                    ("finer-nw", (0, 0, 2), ("-10/1677",)),
+                    ("finer-nw", (1, 0, 1), ("-27/70",)),
+                    ("finer-nw", (1, 0, 2), ("3267/78260",)),
+                    ("finer-nw", (1, 1, 0), ("-27/70",)),
+                    ("finer-nw", (1, 1, 2), ("-297/7826",)),
+                    ("finer-nw", (2, 0, 2), ("297/15652",)),
+                    ("finer-nw", (2, 1, 2), ("-135/7826",)),
+                    ("finer-sw", (0, 0, 2), ("5/1677",)),
+                    ("finer-sw", (0, 1, 1), ("9/70",)),
+                    ("finer-sw", (0, 1, 2), ("-1089/78260",)),
+                    ("finer-sw", (0, 2, 2), ("-99/15652",)),
+                    ("finer-sw", (1, 1, 0), ("9/35",)),
+                    ("finer-sw", (1, 1, 2), ("99/3913",)),
+                    ("finer-sw", (1, 2, 2), ("45/3913",))),
+ "quadri_from_int3_pair": (("finer-se1", (1, 0, 0), ("-3/140",)),
+                           ("finer-se1", (1, 0, 2), ("-33/15652",)),
+                           ("finer-se1", (2, 0, 2), ("-15/15652",)),
+                           ("finer-se2", (0, 1, 0), ("-9/70",)),
+                           ("finer-se2", (0, 1, 2), ("-99/7826",)),
+                           ("finer-se2", (0, 2, 2), ("-45/7826",)),
+                           ("finer-ne1", (1, 0, 0), ("9/140",)),
+                           ("finer-ne1", (1, 0, 2), ("99/15652",)),
+                           ("finer-ne1", (2, 0, 2), ("45/15652",)),
+                           ("finer-ne2", (0, 1, 0), ("9/140",)),
+                           ("finer-ne2", (0, 1, 2), ("99/15652",)),
+                           ("finer-ne2", (0, 2, 2), ("45/15652",)),
+                           ("finer-nw1", (1, 0, 0), ("-9/70",)),
+                           ("finer-nw1", (1, 0, 2), ("-99/7826",)),
+                           ("finer-nw1", (2, 0, 2), ("-45/7826",)),
+                           ("finer-nw2", (0, 1, 0), ("-3/140",)),
+                           ("finer-nw2", (0, 1, 2), ("-33/15652",)),
+                           ("finer-nw2", (0, 2, 2), ("-15/15652",)),
+                           ("finer-sw1", (1, 0, 0), ("9/140",)),
+                           ("finer-sw1", (1, 0, 2), ("99/15652",)),
+                           ("finer-sw1", (2, 0, 2), ("45/15652",)),
+                           ("finer-sw2", (0, 1, 0), ("9/140",)),
+                           ("finer-sw2", (0, 1, 2), ("99/15652",)),
+                           ("finer-sw2", (0, 2, 2), ("45/15652",))),
+ "trunc3": (("finer-succ", (1, 0, 2), ("-10/559",)),
+            ("finer-succ", (1, 1, 1), ("-54/35",)),
+            ("finer-succ", (1, 1, 2), ("3267/19565",)),
+            ("finer-succ", (1, 2, 2), ("297/3913",)),
+            ("finer-succ", (2, 1, 0), ("-1/5",)),
+            ("finer-succ", (2, 1, 2), ("-11/559",)),
+            ("finer-succ", (2, 2, 2), ("-5/559",)),
+            ("finer-prec", (0, 1, 2), ("-10/559",)),
+            ("finer-prec", (1, 1, 1), ("-54/35",)),
+            ("finer-prec", (1, 1, 2), ("3267/19565",)),
+            ("finer-prec", (1, 2, 0), ("-1/5",)),
+            ("finer-prec", (1, 2, 2), ("-11/559",)),
+            ("finer-prec", (2, 1, 2), ("297/3913",)),
+            ("finer-prec", (2, 2, 2), ("-5/559",)))}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FINER_ROWS))
+def test_finer_form_identities_golden(name):
+    a = rebased(catalog.load(name).value, _LAM3)
+    g = BilinearForm(Matrix(_G))
+    assert not any(classify_form(a, g).flags.values())
+    candidate = finer_from_form(a, g, require_flags=False)
+    assert finer_form_identities(a, g, candidate).ok
+    bent = [list(row) for row in _G]
+    bent[1][2] += Fraction(2, 5)
+    rep = finer_form_identities(a, BilinearForm(Matrix(bent)), candidate)
+    assert tuple((v.identity_id, v.witness, tuple(map(format_rational, v.discrepancy)))
+                 for v in rep.violations) == GOLDEN_FINER_ROWS[name]

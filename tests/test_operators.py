@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from clusteralg import catalog
-from clusteralg.bimodules import (PreconditionFailed, regular_bimodule,
-                                  restrict_bimodule)
+from clusteralg.bimodules import (PreconditionFailed, dual_bimodule,
+                                  regular_bimodule, restrict_bimodule)
+from clusteralg.bundle import serialize_algebra
 from clusteralg.core import (LevelError, algebra_entries, algebra_from_entries,
                              check_axioms, project, zero_algebra)
+from clusteralg.forms import canonical_cocycle_form, canonical_invariant_form
 from clusteralg.linalg import Matrix, Tensor3, format_rational
 from clusteralg.operators import (InterMap, NotCommuting, NotRotaBaxter,
                                   compatible_from_invertible,
@@ -15,8 +17,9 @@ from clusteralg.operators import (InterMap, NotCommuting, NotRotaBaxter,
                                   rb_pair_quadri, rb_triple_octo)
 
 import oracles
-from conftest import mutate_map
+from conftest import mutate_map, rebased, rebased_map
 from clusteralg.catalog import SplitMix64
+from clusteralg.yangbaxter import canonical_double_solution
 from test_bimodules import check_json
 
 
@@ -608,3 +611,151 @@ def test_check_json_golden_mixed_denominators(case, capsys, tmp_path):
         doc["bimodules"] = {"m": dict(bimodule, algebra="a")}
         doc["maps"]["t"]["bimodule"] = "m"
     assert check_json(capsys, tmp_path, doc, "t") == (1, expected)
+
+
+# Golden constructions with fractional maps: polynomials modulo x^5,
+# rebased so that the constants have the denominators 2, 3 and 7, with its
+# integration map scaled over 5 and 11 for the pair and the triple, and
+# invertible maps from rebased canonical forms on the Cor2.2.8 and
+# Cor3.3.8 doubles and from a form that lacks every flag for
+# compatible_from_invertible.  Each golden is the serialized algebra.
+_LAM5 = (Fraction(1, 2), Fraction(3), Fraction(7, 3), Fraction(2), Fraction(1, 7))
+_LAM_DOUBLE = (Fraction(1, 2), Fraction(7), Fraction(6), Fraction(1))
+_LAM3 = (Fraction(1, 2), Fraction(3), Fraction(7, 3))
+
+
+def _trunc5_integrations(*scales):
+    """trunc5 rebased, and its integration map scaled by each of scales."""
+    trunc = algebra_from_entries(1, 5, [("star", i, j, i + j, 1)
+                                        for i in range(5) for j in range(5) if i + j < 5])
+    j = InterMap(Matrix([[Fraction(1, c + 1) if r == c + 1 else 0 for c in range(5)]
+                         for r in range(5)]))
+    return rebased(trunc, _LAM5), [rebased_map(j, _LAM5, c) for c in scales]
+
+
+def _form_map(b: Matrix, lam=None, c=1) -> InterMap:
+    """The inverse of the pairing map of the form with grid c b in the
+    basis lam_i e_i: the O-operator finer_from_form uses."""
+    d = b.rows
+    lam = lam or (1,) * d
+    g = Matrix([[c * lam[i] * lam[j] * b[i, j] for j in range(d)] for i in range(d)])
+    return InterMap(g.transpose().inverse())
+
+
+def _golden_construction(case: str):
+    if case == "pair":
+        a, maps = _trunc5_integrations(Fraction(5, 11), Fraction(2, 5))
+        return rb_pair_quadri(a, *maps)
+    if case == "triple":
+        a, maps = _trunc5_integrations(Fraction(5, 11), Fraction(2, 5), Fraction(3, 11))
+        return rb_triple_octo(a, *maps)
+    dend = catalog.load("dend_from_rb_nil2").value
+    if case == "compatible-l1":
+        a = rebased(canonical_double_solution(dend, "Cor2.2.8").double, _LAM_DOUBLE)
+        t = _form_map(canonical_cocycle_form(2).matrix, _LAM_DOUBLE, Fraction(5, 11))
+    elif case == "compatible-l2":
+        a = rebased(canonical_double_solution(dend, "Cor3.3.8").double, _LAM_DOUBLE)
+        t = _form_map(canonical_invariant_form(2).matrix, _LAM_DOUBLE, Fraction(11, 5))
+    else:  # a candidate from a map that is no O-operator
+        a = rebased(catalog.load("dend_from_int3").value, _LAM3)
+        t = _form_map(Matrix([[Fraction(1, 5), Fraction(2, 11), 0],
+                              [Fraction(-3, 11), 0, Fraction(1, 5)],
+                              [Fraction(4, 5), 0, Fraction(1, 11)]]))
+        return compatible_from_invertible(a, dual_bimodule(a, regular_bimodule(a)), t,
+                                          check=False, verify=False)
+    return compatible_from_invertible(a, dual_bimodule(a, regular_bimodule(a)), t)
+
+
+GOLDEN_CONSTRUCTIONS = {"compatible-candidate": {"dim": 3,
+                          "level": 4,
+                          "sc": [["ne", 0, 0, 1, "25/3354"],
+                                 ["ne", 0, 0, 2, "-55/3354"],
+                                 ["ne", 1, 0, 0, "-99/280"],
+                                 ["ne", 1, 0, 1, "-1089/31304"],
+                                 ["ne", 1, 0, 2, "11979/156520"],
+                                 ["ne", 1, 1, 1, "495/7826"],
+                                 ["ne", 1, 1, 2, "-1089/7826"],
+                                 ["ne", 2, 0, 0, "-9/56"],
+                                 ["ne", 2, 0, 1, "-495/31304"],
+                                 ["ne", 2, 0, 2, "1089/31304"],
+                                 ["ne", 2, 1, 1, "225/7826"],
+                                 ["ne", 2, 1, 2, "-495/7826"],
+                                 ["nw", 0, 0, 1, "-25/1677"],
+                                 ["nw", 0, 0, 2, "55/1677"], ["nw", 1, 0, 0, "297/280"],
+                                 ["nw", 1, 0, 1, "3267/31304"],
+                                 ["nw", 1, 0, 2, "-35937/156520"],
+                                 ["nw", 1, 1, 1, "-1485/15652"],
+                                 ["nw", 1, 1, 2, "3267/15652"],
+                                 ["nw", 2, 0, 0, "27/56"],
+                                 ["nw", 2, 0, 1, "1485/31304"],
+                                 ["nw", 2, 0, 2, "-3267/31304"],
+                                 ["nw", 2, 1, 1, "-675/15652"],
+                                 ["nw", 2, 1, 2, "1485/15652"],
+                                 ["se", 0, 0, 1, "-25/1677"],
+                                 ["se", 0, 0, 2, "55/1677"], ["se", 0, 1, 0, "297/280"],
+                                 ["se", 0, 1, 1, "3267/31304"],
+                                 ["se", 0, 1, 2, "-35937/156520"],
+                                 ["se", 0, 2, 0, "27/56"],
+                                 ["se", 0, 2, 1, "1485/31304"],
+                                 ["se", 0, 2, 2, "-3267/31304"],
+                                 ["se", 1, 1, 1, "-1485/15652"],
+                                 ["se", 1, 1, 2, "3267/15652"],
+                                 ["se", 1, 2, 1, "-675/15652"],
+                                 ["se", 1, 2, 2, "1485/15652"],
+                                 ["sw", 0, 0, 1, "25/3354"],
+                                 ["sw", 0, 0, 2, "-55/3354"],
+                                 ["sw", 0, 1, 0, "-99/280"],
+                                 ["sw", 0, 1, 1, "-1089/31304"],
+                                 ["sw", 0, 1, 2, "11979/156520"],
+                                 ["sw", 0, 2, 0, "-9/56"],
+                                 ["sw", 0, 2, 1, "-495/31304"],
+                                 ["sw", 0, 2, 2, "1089/31304"],
+                                 ["sw", 1, 1, 1, "495/7826"],
+                                 ["sw", 1, 1, 2, "-1089/7826"],
+                                 ["sw", 1, 2, 1, "225/7826"],
+                                 ["sw", 1, 2, 2, "-495/7826"]]},
+ "compatible-l1": {"dim": 4,
+                   "level": 2,
+                   "sc": [["prec", 0, 0, 1, "1/28"], ["prec", 0, 3, 2, "-1/12"],
+                          ["prec", 3, 0, 2, "1/6"], ["succ", 0, 0, 1, "1/28"],
+                          ["succ", 0, 3, 2, "1/6"], ["succ", 3, 0, 2, "-1/12"]]},
+ "compatible-l2": {"dim": 4,
+                   "level": 4,
+                   "sc": [["ne", 0, 3, 2, "-1/12"], ["ne", 3, 0, 2, "-1/12"],
+                          ["nw", 0, 0, 1, "1/28"], ["nw", 0, 3, 2, "1/12"],
+                          ["nw", 3, 0, 2, "1/6"], ["se", 0, 0, 1, "1/28"],
+                          ["se", 0, 3, 2, "1/6"], ["se", 3, 0, 2, "1/12"],
+                          ["sw", 0, 3, 2, "-1/12"], ["sw", 3, 0, 2, "-1/12"]]},
+ "pair": {"dim": 5,
+          "level": 4,
+          "sc": [["ne", 0, 0, 2, "3/154"], ["ne", 0, 1, 3, "3/44"],
+                 ["ne", 0, 2, 4, "49/99"], ["ne", 1, 0, 3, "3/44"],
+                 ["ne", 1, 1, 4, "63/22"], ["ne", 2, 0, 4, "49/99"],
+                 ["nw", 0, 0, 2, "3/308"], ["nw", 0, 1, 3, "1/44"],
+                 ["nw", 0, 2, 4, "49/396"], ["nw", 1, 0, 3, "3/44"],
+                 ["nw", 1, 1, 4, "21/11"], ["nw", 2, 0, 4, "49/66"],
+                 ["se", 0, 0, 2, "3/308"], ["se", 0, 1, 3, "3/44"],
+                 ["se", 0, 2, 4, "49/66"], ["se", 1, 0, 3, "1/44"],
+                 ["se", 1, 1, 4, "21/11"], ["se", 2, 0, 4, "49/396"],
+                 ["sw", 0, 0, 2, "3/154"], ["sw", 0, 1, 3, "3/44"],
+                 ["sw", 0, 2, 4, "49/99"], ["sw", 1, 0, 3, "3/44"],
+                 ["sw", 1, 1, 4, "63/22"], ["sw", 2, 0, 4, "49/99"]]},
+ "triple": {"dim": 5,
+            "level": 8,
+            "sc": [["ne1", 0, 0, 3, "3/968"], ["ne1", 0, 1, 4, "21/242"],
+                   ["ne1", 1, 0, 4, "63/484"], ["ne2", 0, 0, 3, "3/968"],
+                   ["ne2", 0, 1, 4, "63/484"], ["ne2", 1, 0, 4, "21/242"],
+                   ["nw1", 0, 0, 3, "1/968"], ["nw1", 0, 1, 4, "21/968"],
+                   ["nw1", 1, 0, 4, "21/242"], ["nw2", 0, 0, 3, "3/968"],
+                   ["nw2", 0, 1, 4, "21/242"], ["nw2", 1, 0, 4, "63/484"],
+                   ["se1", 0, 0, 3, "3/968"], ["se1", 0, 1, 4, "63/484"],
+                   ["se1", 1, 0, 4, "21/242"], ["se2", 0, 0, 3, "1/968"],
+                   ["se2", 0, 1, 4, "21/242"], ["se2", 1, 0, 4, "21/968"],
+                   ["sw1", 0, 0, 3, "3/968"], ["sw1", 0, 1, 4, "21/242"],
+                   ["sw1", 1, 0, 4, "63/484"], ["sw2", 0, 0, 3, "3/968"],
+                   ["sw2", 0, 1, 4, "63/484"], ["sw2", 1, 0, 4, "21/242"]]}}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CONSTRUCTIONS))
+def test_construction_golden(case):
+    assert serialize_algebra(_golden_construction(case)) == GOLDEN_CONSTRUCTIONS[case]
