@@ -117,12 +117,12 @@ def _cmd_check(args) -> int:
         return _print_report(args.name, checker(alg, obj), args.json)
     # forms: check the requested classification flags
     alg = _context_algebra(bundle, kind, args.name, args.algebra)
-    if not args.require:
+    wanted = [f.strip() for f in (args.require or "").split(",") if f.strip()]
+    if not wanted:
         raise BundleError("checking a form needs --require FLAG[,FLAG...]")
     cls = classify_form(alg, obj)
     known = {"symmetric": cls.symmetric, "skew": cls.skew,
              "nondegenerate": cls.nondegenerate, **cls.flags}
-    wanted = [f.strip() for f in args.require.split(",") if f.strip()]
     missing = [f for f in wanted if f not in known]
     if missing:
         raise BundleError(f"unknown form flags {missing}; known: {sorted(known)}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, rat
 
@@ -154,23 +154,6 @@ class ClusterAlgebra:
     def basis_product(self, op: str, i: int, j: int) -> tuple[Fraction, ...]:
         """Coordinates of e_i op e_j."""
         return self.sc[op].fibre(i, j)
-
-    def bilinear(self, op_tensor: Tensor3, x: Sequence[Fraction],
-                 y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of x op y for arbitrary coordinate vectors."""
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i, xv in enumerate(x):
-            if not xv:
-                continue
-            for j, yv in enumerate(y):
-                if not yv:
-                    continue
-                c = xv * yv
-                for k, v in enumerate(op_tensor.fibre(i, j)):
-                    if v:
-                        out[k] += c * v
-        return tuple(out)
 
 
 def zero_algebra(level: int, dim: int) -> ClusterAlgebra:

@@ -6,6 +6,15 @@ level by exhaustive basis-triple evaluation; parity (symmetric/skew)
 and nondegeneracy are reported separately from the conditions, which
 are pure identities.
 
+Evaluation runs on integers: the constants of the operations read are
+scaled by their common denominator D (``core.scaled_fibres``) and the
+grid by its own, D_B.  Every term has degree 1 in the constants and 1
+in B, so a condition's sum on a triple is D D_B times the rational one
+and the zero test is exact.  The finer identities read the finer
+algebra's fibres (D_f) on the left and a's (D_a) on the right, and
+D_a lhs - sign D_f rhs is D_f D_a D_B times the rational defect, which
+is divided back only when reported.
+
 Bridge convention (pinned): an invertible tensor r and a nondegenerate
 form correspond through matrix inversion of the coefficient grid,
 B = grid(r)^-1.  This normalisation is fixed by the requirement that
@@ -18,13 +27,12 @@ B(x + a*, y + b*) = <x, b*> + <a*, y>, as required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .bimodules import PreconditionFailed, dual_bimodule, regular_bimodule
-from .core import ClusterAlgebra, LevelError, Report, Violation, derived_op
-from .linalg import DimensionMismatch, Fraction, Matrix, Singular, Tensor3
+from .core import ClusterAlgebra, LevelError, Report, Violation, scaled_fibres
+from .linalg import DimensionMismatch, Fraction, Matrix, Singular
 from .operators import InterMap, VerificationFailed, compatible_from_invertible
 from .yangbaxter import (Tensor2, check_aybe, check_d_equation,
                          check_q_equation)
@@ -137,12 +145,10 @@ _FORM_CONDITIONS: dict[int, dict[str, tuple]] = {
 _VARS = {"x": 0, "y": 1, "z": 2}
 
 _COMPOSITES: dict[int, dict[str, tuple[str, ...]]] = {
-    1: {},
     2: {"dend_invariant": ("dend_inv_succ", "dend_inv_prec")},
     4: {"quadri_invariant": ("quadri_inv_se", "quadri_inv_ne",
                              "quadri_inv_nw", "quadri_inv_sw"),
         "quadri_2cocycle": ("quadri_2cocycle_a", "quadri_2cocycle_b")},
-    8: {},
 }
 
 
@@ -153,38 +159,41 @@ class FormClassification:
     nondegenerate: bool
     flags: Mapping[str, bool]
 
-    def flag(self, name: str) -> bool:
-        return self.flags[name]
+
+def _scaled_grids(b: BilinearForm) -> tuple[int, tuple[list, list]]:
+    """The lcm D_B of the grid's denominators, and D_B B and its transpose
+    as dense int rows."""
+    den, cols = b.matrix.scaled_cols()
+    bt = [[0] * b.dim for _ in cols]
+    for c, col in enumerate(cols):
+        for r, v in col:
+            bt[c][r] = v
+    return den, ([list(row) for row in zip(*bt)], bt)
 
 
-def _form_term(bm: Matrix, t: Tensor3, product_left: bool,
-               a: int, b: int, c: int) -> Fraction:
-    """B(e_a op e_b, e_c) if product_left, else B(e_a, e_b op e_c), where
-    t holds the structure constants of op and bm the grid of B."""
-    if product_left:
-        return sum((v * bm[m, c] for m, v in enumerate(t.fibre(a, b)) if v),
-                   Fraction(0))
-    return sum((v * bm[a, m] for m, v in enumerate(t.fibre(b, c)) if v),
-               Fraction(0))
-
-
-def _condition_holds(a: ClusterAlgebra, b: BilinearForm, terms, resolve) -> bool:
-    bm = b.matrix
-    resolved = []
-    for sign, term in terms:
-        if term[0] == "pk":
-            _, op, va, vb, vc = term
-        else:
-            _, va, op, vb, vc = term
-        resolved.append((sign, resolve(op), term[0] == "pk",
-                         _VARS[va], _VARS[vb], _VARS[vc]))
-    for triple in product(range(a.dim), repeat=3):
-        total = Fraction(0)
-        for sign, t, left, va, vb, vc in resolved:
-            total += sign * _form_term(bm, t, left, triple[va], triple[vb], triple[vc])
+def _defects(d: int, terms) -> Iterator[tuple[tuple, int]]:
+    """(triple, value) for every basis triple, in order, on which the sum
+    of the terms is nonzero.  A term (w, fib, grid, p, q, r) stands for
+    w sum_m (e_p op e_q)_m grid[m][r], with p, q, r the triple's entries
+    at those positions and fib the scaled fibres of op: B(e_a op e_b, e_c)
+    reads the grid of B, and B(e_a, e_b op e_c) its transpose at (b, c, a)."""
+    for triple in product(range(d), repeat=3):
+        total = 0
+        for w, fib, grid, p, q, r in terms:
+            c = triple[r]
+            for m, v in fib.get((triple[p], triple[q]), ()):
+                total += w * v * grid[m][c]
         if total:
-            return False
-    return True
+            yield triple, total
+
+
+def _parse(sign: int, term: tuple) -> tuple:
+    """A ``_FORM_CONDITIONS`` term as (sign, op, transposed, p, q, r)."""
+    if term[0] == "pk":
+        _, op, p, q, r = term
+    else:
+        _, r, op, p, q = term
+    return sign, op, term[0] == "kp", _VARS[p], _VARS[q], _VARS[r]
 
 
 def classify_form(a: ClusterAlgebra, b: BilinearForm) -> FormClassification:
@@ -197,10 +206,15 @@ def classify_form(a: ClusterAlgebra, b: BilinearForm) -> FormClassification:
     if b.dim != a.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
     level = int(a.level)
-    resolve = cache(partial(derived_op, a))  # each symbol once per call
-    flags = {name: _condition_holds(a, b, terms, resolve)
-             for name, terms in _FORM_CONDITIONS[level].items()}
-    for name, parts in _COMPOSITES[level].items():
+    conditions = {name: [_parse(*t) for t in terms]
+                  for name, terms in _FORM_CONDITIONS[level].items()}
+    _, fibres = scaled_fibres(a, {t[1] for terms in conditions.values() for t in terms})
+    _, grids = _scaled_grids(b)
+    flags = {}
+    for name, terms in conditions.items():
+        resolved = [(w, fibres[op], grids[k], *pqr) for w, op, k, *pqr in terms]
+        flags[name] = next(_defects(a.dim, resolved), None) is None
+    for name, parts in _COMPOSITES.get(level, {}).items():
         flags[name] = all(flags[p] for p in parts)
     return FormClassification(symmetric=b.is_symmetric(), skew=b.is_skew(),
                               nondegenerate=b.is_nondegenerate(), flags=flags)
@@ -290,21 +304,19 @@ _FINER_PARITY = {1: "skew", 2: "sym", 4: "skew"}
 def finer_form_identities(a: ClusterAlgebra, b: BilinearForm,
                           finer: ClusterAlgebra) -> Report:
     """Check the defining identities of a form-induced finer structure."""
-    d = a.dim
-    bm = b.matrix
+    table = _FINER_IDENTITIES[int(a.level)]
+    den_f, new_fibres = scaled_fibres(finer, table)
+    den_a, coarse_fibres = scaled_fibres(a, {coarse for _, coarse, _ in table.values()})
+    den_b, (grid, grid_t) = _scaled_grids(b)
+    divisor = den_f * den_a * den_b
     violations = []
-    for op, (pattern, coarse_op, sign) in _FINER_IDENTITIES[int(a.level)].items():
-        new_t = finer.sc[op]
-        coarse_t = derived_op(a, coarse_op)
-        for i, j, k in product(range(d), repeat=3):
-            lhs = _form_term(bm, new_t, True, i, j, k)
-            if pattern == "A":
-                rhs = _form_term(bm, coarse_t, False, i, j, k)
-            else:
-                rhs = _form_term(bm, coarse_t, False, j, k, i)
-            diff = lhs - sign * rhs
-            if diff:
-                violations.append(Violation(f"finer-{op}", (i, j, k), (diff,)))
+    for op, (pattern, coarse_op, sign) in table.items():
+        # pattern "A": B(x, y op z); pattern "B": B(y, z op x)
+        rhs = (1, 2, 0) if pattern == "A" else (2, 0, 1)
+        terms = ((den_a, new_fibres[op], grid, 0, 1, 2),
+                 (-sign * den_f, coarse_fibres[coarse_op], grid_t, *rhs))
+        violations.extend(Violation(f"finer-{op}", triple, (Fraction(v, divisor),))
+                          for triple, v in _defects(a.dim, terms))
     return Report(tuple(violations))
 
 
@@ -325,20 +337,20 @@ def finer_from_form(a: ClusterAlgebra, b: BilinearForm,
     level = int(a.level)
     if level not in _FINER_FLAG:
         raise LevelError("form-induced finer structures stop at level 4 input")
-    if not b.is_nondegenerate():
-        raise Singular("form is degenerate")
+    # pairing map T: A -> A*, <T(x), y> = B(x, y) has matrix B^T; its
+    # inverse A* -> A is the O-operator.
+    try:
+        s = InterMap(b.matrix.transpose().inverse())
+    except Singular:
+        raise Singular("form is degenerate") from None
     if require_flags:
         parity_ok = b.is_skew() if _FINER_PARITY[level] == "skew" else b.is_symmetric()
         if not parity_ok:
             raise PreconditionFailed(f"form must be {_FINER_PARITY[level]} at "
                                      f"level {level}")
-        cls = classify_form(a, b)
         flag = _FINER_FLAG[level]
-        if not cls.flags[flag]:
+        if not classify_form(a, b).flags[flag]:
             raise PreconditionFailed(f"form lacks the {flag} property")
-    # pairing map T: A -> A*, <T(x), y> = B(x, y) has matrix B^T; its
-    # inverse A* -> A is the O-operator.
-    s = InterMap(b.matrix.transpose().inverse())
     m = dual_bimodule(a, regular_bimodule(a))
     if not require_flags:
         return compatible_from_invertible(a, m, s, check=False, verify=False)

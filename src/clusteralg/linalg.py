@@ -5,9 +5,10 @@ is no floating point anywhere, so every identity check reduces to an
 exact zero test.  The objects here store ``fractions.Fraction`` entries
 densely, which suits building and transforming desk-scale objects.  The
 identity checkers (axioms, bimodules, O-operators, the tensor equations,
-the homomorphism test) do not evaluate in ``Fraction``: they clear each
+the homomorphism test, the form conditions) and the transported products
+of the constructions do not evaluate in ``Fraction``: they clear each
 object's denominators once (``core.scaled_fibres``, ``Matrix.scaled_cols``)
-and test on sparse Python ints, which is several times faster and as exact.
+and work on sparse Python ints, which is several times faster and as exact.
 
 Square systems are solved by fraction-free (Bareiss) Gaussian
 elimination on an integer-cleared augmented matrix, which keeps the
@@ -82,10 +83,6 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...
 
 def vec_scale(c: Fraction, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * a for a in u)
-
-
-def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(_ONE if k == i else _ZERO for k in range(n))
 
 
 class Matrix:

@@ -28,9 +28,9 @@ from itertools import product
 
 from .bimodules import (Bimodule, PreconditionFailed, apply_action,
                         regular_bimodule, semidirect_sum)
-from .core import (PROJECTIONS, ClusterAlgebra, Level, LevelError, Report,
+from .core import (PROJECTIONS, ClusterAlgebra, Fibres, Level, LevelError, Report,
                    Violation, check_axioms, project, scaled_fibres)
-from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, unit_vector
+from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3
 
 
 class NotCommuting(ValueError):
@@ -260,19 +260,40 @@ def _require_commuting(*mats: Matrix) -> None:
                 raise NotCommuting(f"operators {i + 1} and {j + 1} do not commute")
 
 
-def _pair_tensor(a: ClusterAlgebra, left: Matrix | None,
-                 right: Matrix | None) -> Tensor3:
-    """Structure constants of x o y = left(x) * right(y) on a level-1 algebra;
-    None stands for the identity map."""
-    d = a.dim
+def _transported(den: int, fib: Fibres, left, right, out) -> Tensor3:
+    """Structure constants of x o y = out(op(left x, right y)) for square
+    maps given as ``Matrix.scaled_cols``, from op's fibres scaled by den
+    (``scaled_fibres``).  On integers every entry is den D_l D_r D_out
+    times the rational one, and is divided back by that."""
+    (den_l, lcols), (den_r, rcols), (den_o, ocols) = left, right, out
+    d = len(ocols)
+    divisor = den * den_l * den_r * den_o
     entries = []
-    for i in range(d):
-        x = left.col(i) if left is not None else unit_vector(d, i)
-        for j in range(d):
-            y = right.col(j) if right is not None else unit_vector(d, j)
-            col = a.bilinear(a.sc["star"], x, y)
-            entries.extend((i, j, k, v) for k, v in enumerate(col) if v)
+    for i, x in enumerate(lcols):
+        for j, y in enumerate(rcols):
+            p = [0] * d  # den D_l D_r op(left x, right y)
+            for (s, sv), (t, tv) in product(x, y):
+                c = sv * tv
+                for m, v in fib.get((s, t), ()):
+                    p[m] += c * v
+            q = [0] * d
+            for m, v in enumerate(p):
+                if v:
+                    for k, ov in ocols[m]:
+                        q[k] += v * ov
+            entries.extend((i, j, k, Fraction(v, divisor)) for k, v in enumerate(q) if v)
     return Tensor3.from_entries((d, d, d), entries)
+
+
+def _pair_tensors(a: ClusterAlgebra, maps: dict[str, tuple[Matrix, Matrix]]
+                  ) -> dict[str, Tensor3]:
+    """Per name, the structure constants of x o y = left(x) * right(y) on a
+    level-1 algebra, with (left, right) = maps[name]."""
+    den, fibres = scaled_fibres(a, ("star",))
+    one = Matrix.identity(a.dim).scaled_cols()
+    return {name: _transported(den, fibres["star"], left.scaled_cols(),
+                               right.scaled_cols(), one)
+            for name, (left, right) in maps.items()}
 
 
 def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
@@ -287,14 +308,10 @@ def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
     _require_rb(a, r1, "r1")
     _require_rb(a, r2, "r2")
     _require_commuting(r1.matrix, r2.matrix)
-    m1, m2 = r1.matrix, r2.matrix
+    m1, m2, one = r1.matrix, r2.matrix, Matrix.identity(a.dim)
     m12 = m1 @ m2
-    sc = {
-        "se": _pair_tensor(a, m12, None),
-        "ne": _pair_tensor(a, m1, m2),
-        "sw": _pair_tensor(a, m2, m1),
-        "nw": _pair_tensor(a, None, m12),
-    }
+    sc = _pair_tensors(a, {"se": (m12, one), "ne": (m1, m2),
+                           "sw": (m2, m1), "nw": (one, m12)})
     out = ClusterAlgebra(Level.QUADRI, a.dim, sc)
     if verify:
         rep = check_axioms(out)
@@ -317,17 +334,13 @@ def rb_triple_octo(a: ClusterAlgebra, r1: InterMap, r2: InterMap, r3: InterMap,
     for name, r in (("r1", r1), ("r2", r2), ("r3", r3)):
         _require_rb(a, r, name)
     _require_commuting(r1.matrix, r2.matrix, r3.matrix)
-    m1, m2, m3 = r1.matrix, r2.matrix, r3.matrix
-    sc = {
-        "se1": _pair_tensor(a, m2 @ m3, m1),
-        "se2": _pair_tensor(a, m1 @ m2 @ m3, None),
-        "ne1": _pair_tensor(a, m2, m1 @ m3),
-        "ne2": _pair_tensor(a, m1 @ m2, m3),
-        "sw1": _pair_tensor(a, m3, m1 @ m2),
-        "sw2": _pair_tensor(a, m1 @ m3, m2),
-        "nw1": _pair_tensor(a, None, m1 @ m2 @ m3),
-        "nw2": _pair_tensor(a, m1, m2 @ m3),
-    }
+    m1, m2, m3, one = r1.matrix, r2.matrix, r3.matrix, Matrix.identity(a.dim)
+    sc = _pair_tensors(a, {
+        "se1": (m2 @ m3, m1), "se2": (m1 @ m2 @ m3, one),
+        "ne1": (m2, m1 @ m3), "ne2": (m1 @ m2, m3),
+        "sw1": (m3, m1 @ m2), "sw2": (m1 @ m3, m2),
+        "nw1": (one, m1 @ m2 @ m3), "nw2": (m1, m2 @ m3),
+    })
     out = ClusterAlgebra(Level.OCTO, a.dim, sc)
     if verify:
         rep = check_axioms(out)
@@ -353,19 +366,12 @@ def compatible_from_invertible(a: ClusterAlgebra, m: Bimodule, t: InterMap,
             raise PreconditionFailed("map is not an O-operator", rep)
     tinv = t.matrix.inverse()  # raises Singular when not invertible
     induced = induced_tensors(a, m, t)
-    d = a.dim
-    sc = {}
-    for op, tensor in induced.items():
-        entries = []
-        for i in range(d):
-            u = tinv.col(i)
-            for j in range(d):
-                v = tinv.col(j)
-                prod = a.bilinear(tensor, u, v)
-                col = t(prod)
-                entries.extend((i, j, k, val) for k, val in enumerate(col) if val)
-        sc[op] = Tensor3.from_entries((d, d, d), entries)
-    out = ClusterAlgebra(Level.of(2 * int(a.level)), d, sc)
+    level = Level.of(2 * int(a.level))
+    # x op y = T(T^-1 x op_induced T^-1 y) on A
+    den, fibres = scaled_fibres(ClusterAlgebra(level, m.module_dim, induced), level.ops)
+    inv, fwd = tinv.scaled_cols(), t.matrix.scaled_cols()
+    sc = {op: _transported(den, fib, inv, inv, fwd) for op, fib in fibres.items()}
+    out = ClusterAlgebra(level, a.dim, sc)
     if verify:
         rep = check_axioms(out)
         if not rep.ok:

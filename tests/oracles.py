@@ -280,10 +280,12 @@ def formal_mul(c: list, xs: list, ys: list, d: int) -> list:
     return out
 
 
-# The summed operations the equations below use, written out per level.
+# The summed operations the equations and form conditions below use,
+# written out per level.
 _SUMS = {
     2: {"star": ("succ", "prec")},
-    4: {"succ": ("ne", "se"), "prec": ("nw", "sw")},
+    4: {"succ": ("ne", "se"), "prec": ("nw", "sw"), "vee": ("se", "sw"),
+        "wedge": ("ne", "nw"), "star": ("se", "ne", "nw", "sw")},
     8: {"se12": ("se1", "se2"), "ne12": ("ne1", "ne2"), "nw12": ("nw1", "nw2"),
         "sw12": ("sw1", "sw2"), "succ1": ("ne1", "se1"), "prec2": ("nw2", "sw2"),
         "vee1": ("se1", "sw1"), "wedge2": ("ne2", "nw2"),
@@ -352,3 +354,45 @@ def oracle_o_equation(a: ClusterAlgebra, r) -> bool:
          (1, "wedge2", (1, 2), (1, 3))],
     ]
     return all(_is_zero3(_formal_sum(a, r, p)) for p in parts)
+
+
+# ---------------------------------------------------------------------------
+# form conditions
+
+def oracle_form_conditions(a: ClusterAlgebra, grid, table, finer=None) -> list:
+    """The failing rows of the form conditions in table, as (name, (i, j,
+    k), value) in table order and then basis-triple order, where value is
+    the condition's signed sum on (e_i, e_j, e_k) in Fraction; an empty
+    list means every condition holds.  table maps a name to terms
+    (sign, ("pk", op, u, v, w)) for B(u op v, w) and (sign, ("kp", u, op,
+    v, w)) for B(u, v op w), with u, v, w among "x", "y", "z"; grid is
+    indexed grid[i, j] = B(e_i, e_j).  An op is a base or summed
+    operation of a, or a base operation of finer when one is given.
+    Raw loops over nested lists."""
+    d = a.dim
+    b = [[grid[i, j] for j in range(d)] for i in range(d)]
+    ops = sc_nested(a)
+    ops.update((sym, add_sc(*(ops[p] for p in parts)))
+               for sym, parts in _SUMS.get(int(a.level), {}).items())
+    if finer is not None:
+        ops.update(sc_nested(finer))
+
+    rows = []
+    for name, terms in table.items():
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    at = {"x": i, "y": j, "z": k}
+                    total = F0
+                    for sign, term in terms:
+                        if term[0] == "pk":  # B(u op v, w)
+                            _, op, u, v, w = term
+                            uv = prod(ops[op], _basis(d, at[u]), _basis(d, at[v]))
+                            total += sign * sum((uv[m] * b[m][at[w]] for m in range(d)), F0)
+                        else:  # B(u, v op w)
+                            _, u, op, v, w = term
+                            vw = prod(ops[op], _basis(d, at[v]), _basis(d, at[w]))
+                            total += sign * sum((b[at[u]][m] * vw[m] for m in range(d)), F0)
+                    if total:
+                        rows.append((name, (i, j, k), total))
+    return rows

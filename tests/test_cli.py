@@ -104,6 +104,22 @@ def test_classify_command(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags", [None, "", ",", " , ", ",,"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_check_form_without_flags_exit_two(capsys, tmp_path, flags, as_json):
+    # a --require that names no flag checks nothing, so it is refused
+    from clusteralg.bundle import serialize_form
+    from clusteralg.forms import BilinearForm
+    doc = {"field": "Q", "algebras": {"nil2": catalog.catalog_bundle()["algebras"]["nil2"]},
+           "forms": {"b": {**serialize_form(BilinearForm.zeros(2)), "algebra": "nil2"}}}
+    path = tmp_path / "form.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    argv = ["check", str(path), "b"] + (["--require", flags] if flags is not None else [])
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, out) == (2, "")
+    assert "checking a form needs --require FLAG[,FLAG...]" in err
+
+
 def test_derive_rb_finer_and_roundtrip(capsys, tmp_path, catalog_path):
     out_path = tmp_path / "derived.json"
     code, out, _ = run(capsys, "derive", str(catalog_path), "rb-finer",

@@ -1,7 +1,8 @@
 """The scaled-integer checkers against the Fraction oracles.
 
-check_axioms, check_bimodule, is_o_operator, the tensor equations and
-homomorphism_report clear each object's denominators once and test
+check_axioms, check_bimodule, is_o_operator, the tensor equations,
+homomorphism_report, the form conditions of classify_form and
+finer_form_identities clear each object's denominators once and test
 identities on integers; these properties feed them constants with
 coprime and large prime denominators and compare every verdict with the
 brute-force oracles in tests/oracles.py.
@@ -17,6 +18,9 @@ from clusteralg.bimodules import (bimodule_entries, bimodule_from_entries,
                                   check_bimodule, regular_bimodule)
 from clusteralg.core import (ClusterAlgebra, Level, algebra_entries,
                              algebra_from_entries, check_axioms)
+from clusteralg.forms import (_FINER_IDENTITIES, _FORM_CONDITIONS, BilinearForm,
+                              classify_form, finer_form_identities, finer_from_form,
+                              tensor_to_form)
 from clusteralg.linalg import Matrix
 from clusteralg.operators import (InterMap, homomorphism_report, induce_on_module,
                                   is_rota_baxter)
@@ -213,4 +217,51 @@ def test_homomorphism_agrees_with_oracle(case):
     rep = homomorphism_report(finer, a, t)
     assert [(v.identity_id, v.witness, v.discrepancy) for v in rep.violations] \
         == oracles.oracle_homomorphism(finer, a, t.matrix)
+    _assert_reported_exactly(rep)
+
+
+@st.composite
+def form_inputs(draw) -> tuple[ClusterAlgebra, BilinearForm]:
+    """A sparse algebra with a sparse form, or a canonical solution's double
+    with its bridge form (whose cocycle flag holds), the algebra and the
+    form each scaled by its own factor, the form perhaps mutated."""
+    if draw(st.booleans()):
+        a = draw(sparse_algebras())
+        return a, BilinearForm(_sparse_grid(draw, a.dim, a.dim))
+    lift = draw(st.sampled_from(CANONICAL))
+    a = _scaled(lift.double, draw(nonzero_rationals))
+    c = draw(nonzero_rationals)
+    rows = [(i, j, c * v) for i, j, v in tensor_to_form(lift.tensor).entries()]
+    return a, BilinearForm.from_entries(a.dim, _mutated(draw, rows))
+
+
+# each finer identity B(x op y, z) = sign B(x, y coarse z) ("A") or
+# sign B(y, z coarse x) ("B") as a form-condition row for the oracle
+FINER_TABLES = {level: {f"finer-{op}": (
+    (1, ("pk", op, "x", "y", "z")),
+    (-sign, ("kp", "x", coarse, "y", "z") if pattern == "A" else ("kp", "y", coarse, "z", "x")))
+    for op, (pattern, coarse, sign) in table.items()}
+    for level, table in _FINER_IDENTITIES.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_inputs(), st.data())
+def test_form_conditions_agree_with_oracle(case, data):
+    a, b = case
+    level = int(a.level)
+    failing = {name for name, *_ in
+               oracles.oracle_form_conditions(a, b.matrix, _FORM_CONDITIONS[level])}
+    flags = classify_form(a, b).flags
+    assert {name: flags[name] for name in _FORM_CONDITIONS[level]} \
+        == {name: name not in failing for name in _FORM_CONDITIONS[level]}
+    if level == 8 or not b.is_nondegenerate():
+        return
+    # the candidate finer structure satisfies the identities of its own
+    # form; against a mutant of the form it fails some of them
+    candidate = finer_from_form(a, b, require_flags=False)
+    other = BilinearForm.from_entries(a.dim, _mutated(data.draw, b.entries()))
+    rep = finer_form_identities(a, other, candidate)
+    assert [(v.identity_id, v.witness, v.discrepancy) for v in rep.violations] == [
+        (name, triple, (value,)) for name, triple, value in oracles.oracle_form_conditions(
+            a, other.matrix, FINER_TABLES[level], finer=candidate)]
     _assert_reported_exactly(rep)
