@@ -305,6 +305,8 @@ def finer_form_identities(a: ClusterAlgebra, b: BilinearForm,
                           finer: ClusterAlgebra) -> Report:
     """Check the defining identities of a form-induced finer structure."""
     table = _FINER_IDENTITIES[int(a.level)]
+    if int(finer.level) != 2 * int(a.level):
+        raise LevelError("the finer algebra must be at twice the level")
     den_f, new_fibres = scaled_fibres(finer, table)
     den_a, coarse_fibres = scaled_fibres(a, {coarse for _, coarse, _ in table.values()})
     den_b, (grid, grid_t) = _scaled_grids(b)

@@ -376,7 +376,6 @@ def oracle_form_conditions(a: ClusterAlgebra, grid, table, finer=None) -> list:
                for sym, parts in _SUMS.get(int(a.level), {}).items())
     if finer is not None:
         ops.update(sc_nested(finer))
-
     rows = []
     for name, terms in table.items():
         for i in range(d):
@@ -385,14 +384,14 @@ def oracle_form_conditions(a: ClusterAlgebra, grid, table, finer=None) -> list:
                     at = {"x": i, "y": j, "z": k}
                     total = F0
                     for sign, term in terms:
+                        # e_i op e_j has the coordinates ops[op][i][j]
                         if term[0] == "pk":  # B(u op v, w)
                             _, op, u, v, w = term
-                            uv = prod(ops[op], _basis(d, at[u]), _basis(d, at[v]))
-                            total += sign * sum((uv[m] * b[m][at[w]] for m in range(d)), F0)
+                            uv, col = ops[op][at[u]][at[v]], [row[at[w]] for row in b]
                         else:  # B(u, v op w)
                             _, u, op, v, w = term
-                            vw = prod(ops[op], _basis(d, at[v]), _basis(d, at[w]))
-                            total += sign * sum((b[at[u]][m] * vw[m] for m in range(d)), F0)
+                            uv, col = ops[op][at[v]][at[w]], b[at[u]]
+                        total += sign * sum((x * y for x, y in zip(uv, col) if x), F0)
                     if total:
                         rows.append((name, (i, j, k), total))
     return rows

@@ -7,7 +7,7 @@ import pytest
 from clusteralg import catalog, cli
 from clusteralg.bimodules import PreconditionFailed
 from clusteralg.bundle import dumps, serialize_algebra, serialize_form
-from clusteralg.core import check_axioms, project
+from clusteralg.core import LevelError, check_axioms, project, zero_algebra
 from clusteralg.forms import (BilinearForm, bridge_equivalence,
                               canonical_cocycle_form, canonical_invariant_form,
                               classify_form, finer_form_identities,
@@ -141,6 +141,15 @@ def test_finer_from_form_requires_flags(nil2, dend_rb):
     # degenerate form
     with pytest.raises(Singular):
         finer_from_form(nil2, BilinearForm.zeros(2))
+
+
+def test_finer_form_identities_need_the_doubled_level(nil2):
+    # succ and prec are derived symbols at level 4, so a level-4 algebra
+    # must not pass for the level-2 structure a level-1 form induces
+    b = tensor_to_form(catalog.random_invertible_tensor2(2, "skew", 0))
+    with pytest.raises(LevelError):
+        finer_form_identities(nil2, b, zero_algebra(4, 2))
+    assert finer_form_identities(nil2, b, finer_from_form(nil2, b, require_flags=False)).ok
 
 
 def test_prop_322_five_way(dend_rb, dend_int3):

@@ -18,9 +18,9 @@ from clusteralg.bimodules import (bimodule_entries, bimodule_from_entries,
                                   check_bimodule, regular_bimodule)
 from clusteralg.core import (ClusterAlgebra, Level, algebra_entries,
                              algebra_from_entries, check_axioms)
-from clusteralg.forms import (_FINER_IDENTITIES, _FORM_CONDITIONS, BilinearForm,
-                              classify_form, finer_form_identities, finer_from_form,
-                              tensor_to_form)
+from clusteralg.forms import (_COMPOSITES, _FINER_IDENTITIES, _FORM_CONDITIONS,
+                              BilinearForm, classify_form, finer_form_identities,
+                              finer_from_form, tensor_to_form)
 from clusteralg.linalg import Matrix
 from clusteralg.operators import (InterMap, homomorphism_report, induce_on_module,
                                   is_rota_baxter)
@@ -251,13 +251,14 @@ def test_form_conditions_agree_with_oracle(case, data):
     level = int(a.level)
     failing = {name for name, *_ in
                oracles.oracle_form_conditions(a, b.matrix, _FORM_CONDITIONS[level])}
-    flags = classify_form(a, b).flags
-    assert {name: flags[name] for name in _FORM_CONDITIONS[level]} \
-        == {name: name not in failing for name in _FORM_CONDITIONS[level]}
+    expected = {name: name not in failing for name in _FORM_CONDITIONS[level]}
+    expected.update((name, all(expected[p] for p in parts))
+                    for name, parts in _COMPOSITES.get(level, {}).items())
+    assert dict(classify_form(a, b).flags) == expected
     if level == 8 or not b.is_nondegenerate():
         return
     # the candidate finer structure satisfies the identities of its own
-    # form; against a mutant of the form it fails some of them
+    # form; against a mutant of the form it may fail some of them
     candidate = finer_from_form(a, b, require_flags=False)
     other = BilinearForm.from_entries(a.dim, _mutated(data.draw, b.entries()))
     rep = finer_form_identities(a, other, candidate)
