@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from clusteralg import catalog, cli
@@ -694,3 +696,59 @@ def test_check_json_golden(case, capsys, tmp_path):
                                "module_dim": module_dim, "entries": entries,
                                "algebra": alg}}}
     assert check_json(capsys, tmp_path, doc, "m") == (1, expected)
+
+
+def expected_json(rows) -> str:
+    """The `check --json` stdout of a failing report with the given
+    (identity, witness, discrepancy) rows, in order."""
+    return json.dumps({"ok": False, "violations": [
+        {"identity": ident, "witness": list(witness), "discrepancy": list(disc)}
+        for ident, witness, disc in rows]}, sort_keys=True, indent=2) + "\n"
+
+
+# Bimodules on a 3-dimensional module over algebras with constants over
+# 2, 3 and 7 whose exact `check --json` output names, for some (i, j),
+# the least of several failing module indices c (one that is not 0):
+# level -> (algebra constants, bimodule entries, violation rows).
+GOLDEN_LEAST_C = {
+    1: ([["star", 0, 0, 0, "2/7"], ["star", 0, 1, 1, "2/7"], ["star", 1, 0, 1, "2/7"]],
+        [["r", "star", 0, 1, 0, "-3/2"], ["l", "star", 1, 0, 1, "-2/7"],
+         ["l", "star", 0, 1, 1, "-1/3"], ["l", "star", 0, 2, 2, "5/2"]],
+        (("2.1.1-1", (0, 0, 1), ("0", "-13/63", "0")),
+         ("2.1.1-1", (0, 1, 1), ("-4/49", "0", "0")),
+         ("2.1.1-1", (1, 0, 1), ("-26/147", "0", "0")),
+         ("2.1.1-2", (0, 0, 0), ("0", "-3/7", "0")),
+         ("2.1.1-3", (0, 0, 0), ("0", "1/2", "0")),
+         ("2.1.1-3", (1, 0, 0), ("3/7", "0", "0")))),
+    2: ([["succ", 0, 0, 1, "9/28"], ["prec", 0, 0, 1, "9/28"]],
+        [["r", "prec", 0, 1, 0, "-3/2"], ["l", "prec", 1, 0, 1, "-2/7"],
+         ["l", "succ", 0, 1, 1, "-1/3"], ["l", "succ", 0, 2, 2, "5/2"]],
+        (("3.1.1", (0, 0, 1), ("-9/98", "0", "0")),
+         ("3.1.1", (1, 0, 1), ("-2/21", "0", "0")),
+         ("3.1.2", (0, 1, 0), ("-3/7", "0", "0")),
+         ("3.1.4", (0, 0, 1), ("-9/98", "0", "0")),
+         ("3.1.5", (0, 0, 0), ("0", "-1/2", "0")),
+         ("3.1.7", (0, 0, 1), ("0", "-1/9", "0")))),
+    4: ([["se", 0, 0, 2, "4"], ["ne", 0, 0, 2, "8"], ["nw", 0, 0, 2, "4"],
+         ["sw", 0, 0, 2, "8"]],
+        [["l", "sw", 2, 1, 1, "5/3"], ["l", "sw", 1, 2, 2, "2"],
+         ["l", "se", 1, 2, 1, "-2/7"], ["r", "nw", 1, 1, 2, "-1/2"]],
+        (("4.1.2-2", (1, 1, 2), ("0", "-1", "0")),
+         ("4.1.2-2", (2, 1, 2), ("0", "5/6", "0")),
+         ("4.1.3-1", (0, 0, 1), ("0", "20", "0")),
+         ("4.1.3-1", (1, 1, 1), ("0", "0", "4/7")),
+         ("4.1.3-1", (2, 2, 1), ("0", "-25/9", "0")),
+         ("4.1.5-2", (1, 1, 1), ("0", "1/7", "0")),
+         ("4.1.6-1", (0, 0, 1), ("0", "20", "0")),
+         ("4.1.6-1", (1, 2, 1), ("0", "0", "10/21")))),
+}
+
+
+@pytest.mark.parametrize("level", sorted(GOLDEN_LEAST_C))
+def test_check_json_golden_least_c(level, capsys, tmp_path):
+    sc, entries, rows = GOLDEN_LEAST_C[level]
+    d = 2 if level < 4 else 3
+    doc = {"field": "Q", "algebras": {"a": {"level": level, "dim": d, "sc": sc}},
+           "bimodules": {"m": {"level": level, "algebra_dim": d, "module_dim": 3,
+                               "entries": entries, "algebra": "a"}}}
+    assert check_json(capsys, tmp_path, doc, "m") == (1, expected_json(rows))

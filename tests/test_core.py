@@ -13,7 +13,7 @@ from clusteralg.linalg import Matrix, Tensor3
 
 import oracles
 from conftest import mutate_algebra
-from test_bimodules import check_json
+from test_bimodules import check_json, expected_json
 
 ALGEBRA_ENTRIES = ("zero_2", "zero_3", "nil2", "trunc3", "ut2",
                    "dend_from_rb_nil2", "dend_from_int3",
@@ -554,3 +554,97 @@ def test_check_json_golden(case, capsys, tmp_path):
     sc, expected = GOLDEN_AXIOMS[case]
     doc = {"field": "Q", "algebras": {"a": {"level": int(case[5:]), "dim": 2, "sc": sc}}}
     assert check_json(capsys, tmp_path, doc, "a") == (1, expected)
+
+
+# Sparse algebras with constants over 2, 3 and 7 and their exact `check
+# --json` rows.  In each, some identity fails at triples (i, j, k) and
+# (i', j', k') with i < i' but (j, k) > (j', k'), so a report built in
+# the order the products meet the triples would not be sorted:
+# level -> (dim, structure constants, violation rows).
+GOLDEN_SPARSE = {
+    1: (4, [["star", 0, 0, 2, "-1/7"], ["star", 2, 1, 0, "-1/3"], ["star", 2, 3, 2, "-3/2"],
+            ["star", 3, 2, 3, "4/7"], ["star", 1, 1, 1, "-3/2"], ["star", 1, 1, 2, "-1/3"]],
+        (("assoc", (0, 0, 1), ("1/21", "0", "0", "0")),
+         ("assoc", (0, 0, 3), ("0", "0", "3/14", "0")),
+         ("assoc", (0, 2, 1), ("0", "0", "-1/21", "0")),
+         ("assoc", (1, 1, 1), ("1/9", "0", "0", "0")),
+         ("assoc", (1, 1, 3), ("0", "0", "1/2", "0")),
+         ("assoc", (2, 1, 0), ("0", "0", "1/21", "0")),
+         ("assoc", (2, 1, 1), ("-1/2", "0", "0", "0")),
+         ("assoc", (2, 3, 1), ("1/2", "0", "0", "0")),
+         ("assoc", (2, 3, 2), ("0", "0", "6/7", "0")),
+         ("assoc", (2, 3, 3), ("0", "0", "9/4", "0")),
+         ("assoc", (3, 0, 0), ("0", "0", "0", "4/49")),
+         ("assoc", (3, 1, 1), ("0", "0", "0", "4/21")),
+         ("assoc", (3, 2, 2), ("0", "0", "0", "16/49")),
+         ("assoc", (3, 2, 3), ("0", "0", "0", "6/7")))),
+    2: (3, [["succ", 2, 0, 1, "-2/3"], ["prec", 1, 2, 1, "1/2"], ["prec", 0, 1, 1, "-3/7"],
+            ["prec", 1, 2, 0, "-2/3"], ["succ", 0, 0, 2, "-1"]],
+        (("2.1.5-1", (0, 0, 1), ("0", "-9/49", "0")),
+         ("2.1.5-1", (0, 1, 2), ("2/7", "0", "0")),
+         ("2.1.5-1", (0, 2, 0), ("0", "-2/7", "0")),
+         ("2.1.5-1", (1, 0, 0), ("-2/3", "1/2", "0")),
+         ("2.1.5-1", (1, 2, 1), ("0", "2/7", "0")),
+         ("2.1.5-1", (1, 2, 2), ("-1/3", "1/4", "0")),
+         ("2.1.5-2", (0, 1, 2), ("0", "0", "-2/3")),
+         ("2.1.5-2", (2, 0, 2), ("4/9", "-1/3", "0")),
+         ("2.1.5-2", (2, 1, 2), ("0", "-4/9", "0")),
+         ("2.1.5-3", (0, 0, 0), ("0", "2/3", "0")),
+         ("2.1.5-3", (1, 2, 0), ("0", "0", "2/3")))),
+    4: (3, [["ne", 2, 0, 1, "-2/3"], ["sw", 1, 2, 1, "1/2"], ["sw", 0, 1, 1, "-3/7"],
+            ["sw", 1, 2, 0, "-2/3"], ["se", 0, 0, 2, "-1"], ["ne", 1, 2, 0, "1/3"]],
+        (("3.4.1-2", (2, 1, 2), ("0", "-4/9", "0")),
+         ("3.4.1-3", (1, 0, 0), ("1/3", "0", "0")),
+         ("3.4.1-3", (2, 0, 2), ("-2/9", "0", "0")),
+         ("3.4.1-3", (2, 1, 2), ("0", "2/9", "0")),
+         ("3.4.2-1", (0, 2, 0), ("0", "-2/7", "0")),
+         ("3.4.2-3", (0, 0, 0), ("0", "2/3", "0")),
+         ("3.4.2-3", (0, 1, 2), ("-1/7", "0", "1/3")),
+         ("3.4.2-3", (1, 2, 2), ("1/6", "0", "0")),
+         ("3.4.3-1", (0, 0, 1), ("0", "-9/49", "0")),
+         ("3.4.3-1", (0, 1, 2), ("2/7", "0", "0")),
+         ("3.4.3-1", (1, 0, 0), ("-2/3", "1/2", "0")),
+         ("3.4.3-1", (1, 2, 1), ("0", "2/7", "0")),
+         ("3.4.3-1", (1, 2, 2), ("-1/3", "1/4", "0")),
+         ("3.4.3-2", (0, 1, 2), ("0", "0", "-2/3")),
+         ("3.4.3-2", (1, 2, 1), ("0", "-1/7", "0")),
+         ("3.4.3-2", (2, 0, 2), ("4/9", "-1/3", "0")),
+         ("3.4.3-3", (1, 2, 0), ("0", "0", "1/3")))),
+    8: (2, [["ne1", 0, 1, 0, "5/3"], ["sw2", 1, 0, 0, "5/2"], ["sw1", 1, 0, 1, "2/7"],
+            ["ne2", 0, 1, 0, "-3/2"], ["se1", 1, 0, 1, "-3/7"], ["ne2", 1, 1, 0, "3/2"]],
+        (("4.4.1-2", (0, 1, 0), ("-10/21", "0")),
+         ("4.4.1-3", (0, 1, 0), ("5/7", "0")),
+         ("4.4.1-3", (0, 1, 1), ("25/9", "0")),
+         ("4.4.2-1", (1, 0, 1), ("0", "-1/21")),
+         ("4.4.2-1", (1, 1, 1), ("0", "-3/7")),
+         ("4.4.2-3", (1, 0, 1), ("0", "1/14")),
+         ("4.4.2-3", (1, 1, 1), ("0", "9/14")),
+         ("4.4.3-1", (1, 0, 0), ("0", "4/49")),
+         ("4.4.3-1", (1, 1, 0), ("0", "-5/7")),
+         ("4.4.3-2", (1, 0, 0), ("0", "-6/49")),
+         ("4.4.3-2", (1, 1, 0), ("0", "15/14")),
+         ("4.4.3-3", (1, 0, 0), ("0", "3/49")),
+         ("4.4.4-2", (0, 1, 0), ("3/7", "0")),
+         ("4.4.4-2", (1, 1, 0), ("-3/7", "0")),
+         ("4.4.4-3", (0, 1, 0), ("-9/14", "0")),
+         ("4.4.4-3", (0, 1, 1), ("-5/2", "0")),
+         ("4.4.4-3", (1, 1, 0), ("9/14", "0")),
+         ("4.4.4-3", (1, 1, 1), ("5/2", "0")),
+         ("4.4.5-1", (1, 0, 1), ("-25/6", "0")),
+         ("4.4.5-3", (1, 0, 1), ("25/6", "0")),
+         ("4.4.7-3", (0, 1, 1), ("-1/4", "0")),
+         ("4.4.7-3", (1, 1, 1), ("-9/4", "0")),
+         ("4.4.8-1", (1, 0, 1), ("15/4", "0")),
+         ("4.4.8-1", (1, 1, 1), ("-15/4", "0")),
+         ("4.4.8-3", (1, 0, 1), ("-111/28", "0")),
+         ("4.4.9-1", (1, 0, 0), ("5/7", "0")),
+         ("4.4.9-1", (1, 1, 0), ("-25/4", "0")),
+         ("4.4.9-2", (1, 0, 0), ("-15/14", "0")))),
+}
+
+
+@pytest.mark.parametrize("level", sorted(GOLDEN_SPARSE))
+def test_check_json_golden_sparse(level, capsys, tmp_path):
+    d, sc, rows = GOLDEN_SPARSE[level]
+    doc = {"field": "Q", "algebras": {"a": {"level": level, "dim": d, "sc": sc}}}
+    assert check_json(capsys, tmp_path, doc, "a") == (1, expected_json(rows))
