@@ -10,10 +10,10 @@ A violation's witness (i, j, c) names the algebra basis pair (e_i, e_j)
 of the identity and the least module basis index c at which it fails;
 its discrepancy is the V-part of lhs - rhs on v_c.  The identities run
 on the scaled integer fibres of A (+) V (``core.scaled_fibres``, one
-common denominator D for the algebra and the actions), and a reported
-discrepancy is divided back by D^2.  No level-8 bimodule
-is implemented: only the recipe exists for it, not a definition, so
-asking for one is an error.
+denominator D for the algebra and the actions), all three module slots
+of an axiom from one ``core.axiom_sums``; a reported discrepancy is
+divided back by D^2.  No level-8 bimodule is implemented: only the
+recipe exists for it, not a definition, so asking for one is an error.
 
 Action matrices act on column coordinates of V: ``lmap[op][i]`` is the
 matrix of l_op(e_i), and similarly for ``rmap``.  The dual bimodule
@@ -29,7 +29,7 @@ from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .core import (AXIOMS, ClusterAlgebra, Level, LevelError, Report,
-                   Violation, axiom_defect, mult_operator, project,
+                   Violation, axiom_sums, mult_operator, project,
                    scaled_fibres)
 from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, rat, vec_add
 
@@ -140,22 +140,23 @@ def check_bimodule(a: ClusterAlgebra, m: Bimodule) -> Report:
     if a.dim != m.algebra_dim:
         raise DimensionMismatch("algebra dim does not match bimodule")
     s = semidirect_sum(a, m, check=False)
-    d, n = a.dim, s.dim
+    d, level = a.dim, int(a.level)
     den, fibres = scaled_fibres(s)
     den2 = den * den
-    axioms = AXIOMS[int(a.level)]
+    # the outer products skip the A.A block, so every triple reached has
+    # exactly one module slot, and a row is the V-part of lhs - rhs
+    sums = [sorted(axiom_sums(axiom, fibres, s.dim, skip=d).items())
+            for axiom in AXIOMS[level]]
     violations = []
-    for ident, ax, slot, sign, swap in _MODULE_SLOTS[int(a.level)]:
-        for i in range(d):
-            for j in range(d):
-                pair = [j, i] if swap else [i, j]
-                for c in range(d, n):
-                    diff = axiom_defect(axioms[ax], fibres, n,
-                                        *pair[:slot], c, *pair[slot:])[d:]
-                    if any(diff):
-                        violations.append(Violation(ident, (i, j, c - d), tuple(
-                            Fraction(sign * v, den2) for v in diff)))
-                        break
+    for ident, ax, slot, sign, swap in _MODULE_SLOTS[level]:
+        least: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        for key, row in sums[ax]:  # in key order: the least c comes first
+            if key[slot] >= d and any(row):
+                pair = key[:slot] + key[slot + 1:]
+                least.setdefault(pair[::-1] if swap else pair, (key[slot] - d, row))
+        for ij, (c, row) in sorted(least.items()):
+            violations.append(Violation(ident, (*ij, c),
+                                        tuple(Fraction(sign * v, den2) for v in row)))
     return Report(tuple(violations))
 
 
@@ -319,9 +320,7 @@ def semidirect_sum(a: ClusterAlgebra, m: Bimodule, check: bool = True) -> Cluste
     n = d + md
     sc = {}
     for op in a.level.ops:
-        entries = []
-        for i, j, k, v in a.sc[op].nonzero():
-            entries.append((i, j, k, v))
+        entries = list(a.sc[op].nonzero())
         for i in range(d):
             for r, c, v in m.lmap[op][i].nonzero():
                 entries.append((i, d + c, d + r, v))

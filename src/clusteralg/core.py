@@ -21,9 +21,10 @@ Evaluation runs on scaled integers.  ``scaled_fibres`` takes the common
 denominator D of the constants of the operations a check reads and
 stores D c as sparse Python-int fibres (i, j) -> ((k, D c), ...), zeros
 dropped.  Every axiom is homogeneous of degree 2 in the constants, so
-``axiom_defect`` yields D^2 times the rational defect: the zero test is
+``axiom_sums`` yields D^2 times the rational defect: the zero test is
 exact, and only a reported discrepancy is divided back, as
-Fraction(v, D^2).
+Fraction(v, D^2).  It sums each side over the nonzero fibres only, so
+a triple that no product reaches costs nothing.
 """
 
 from __future__ import annotations
@@ -367,44 +368,43 @@ def scaled_fibres(a: ClusterAlgebra, syms: Iterable[str] | None = None
     return den, out
 
 
-def axiom_defect(axiom: tuple[str, _Term, _Term], fibres: Mapping[str, Fibres],
-                 n: int, i: int, j: int, k: int) -> list[int]:
-    """lhs - rhs of one axiom on the basis triple (e_i, e_j, e_k) of an
-    n-dimensional algebra, in the scaled integers of ``scaled_fibres``
-    (D^2 times the rational defect)."""
-    acc = [0] * n
+def axiom_sums(axiom: tuple[str, _Term, _Term], fibres: Mapping[str, Fibres], n: int,
+               skip: int = 0) -> dict[tuple[int, int, int], list[int]]:
+    """lhs - rhs of one axiom, keyed (i, j, k), on each basis triple of an
+    n-dimensional algebra that a nonzero product reaches (the others have
+    defect 0), in the integers of ``scaled_fibres``: D^2 times the rational
+    defect.  Per side, the outer operation's fibres are indexed by the slot
+    the inner product feeds, and each nonzero inner product is multiplied
+    into those only.  With skip = s the outer operation reads no fibre
+    (p, q) with p, q < s, and a row holds coordinates s..n-1."""
+    acc: dict[tuple[int, int, int], list[int]] = {}
     for sign, (shape, outer, inner) in zip((1, -1), axiom[1:]):
-        f_out, f_in = fibres[outer], fibres[inner]
-        if shape == "L":  # (e_i inner e_j) outer e_k
-            for m, c in f_in.get((i, j), ()):
+        left = shape == "L"  # (e_i inner e_j) outer e_k, else e_i outer (e_j inner e_k)
+        fed: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+        for (p, q), fibre in fibres[outer].items():
+            if p >= skip or q >= skip:
+                fed.setdefault(p if left else q, []).append((q if left else p, fibre))
+        for (p, q), fibre in fibres[inner].items():
+            for m, c in fibre:
                 c *= sign
-                for idx, v in f_out.get((m, k), ()):
-                    acc[idx] += c * v
-        else:  # e_i outer (e_j inner e_k)
-            for m, c in f_in.get((j, k), ()):
-                c *= sign
-                for idx, v in f_out.get((i, m), ()):
-                    acc[idx] += c * v
+                for r, out in fed.get(m, ()):
+                    key = (p, q, r) if left else (r, p, q)
+                    row = acc.get(key)
+                    if row is None:
+                        row = acc[key] = [0] * (n - skip)
+                    for t, v in out:
+                        row[t - skip] += c * v
     return acc
 
 
 def check_axioms(a: ClusterAlgebra) -> Report:
-    """Evaluate every defining identity of a's level on all basis triples.
-
-    The zero tests run on the scaled integers of ``scaled_fibres``; every
-    identity is homogeneous of degree 2 in the constants, so a defect is
-    D^2 times the rational one and is divided back only when reported.
-    """
-    d = a.dim
+    """Evaluate every defining identity of a's level on all basis triples
+    (``axiom_sums``); violations come in triple order per identity."""
     den, fibres = scaled_fibres(a)
     den2 = den * den
     violations = []
     for axiom in AXIOMS[int(a.level)]:
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    diff = axiom_defect(axiom, fibres, d, i, j, k)
-                    if any(diff):
-                        violations.append(Violation(axiom[0], (i, j, k), tuple(
-                            Fraction(v, den2) for v in diff)))
+        sums = axiom_sums(axiom, fibres, a.dim)
+        violations.extend(Violation(axiom[0], key, tuple(Fraction(v, den2) for v in row))
+                          for key, row in sorted(sums.items()) if any(row))
     return Report(tuple(violations))

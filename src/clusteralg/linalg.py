@@ -297,9 +297,10 @@ def solve_consistent(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 class Tensor3:
-    """Order-3 tensor over Q with flat immutable storage."""
+    """Order-3 tensor over Q with flat immutable storage; the sorted listing
+    of its nonzero entries is kept from ``from_entries``, else made once."""
 
-    __slots__ = ("dims", "_e")
+    __slots__ = ("dims", "_e", "_nz")
 
     def __init__(self, dims: tuple[int, int, int], entries: Sequence[Fraction]):
         d1, d2, d3 = dims
@@ -307,6 +308,7 @@ class Tensor3:
             raise DimensionMismatch("entry count does not match dims")
         self.dims = (d1, d2, d3)
         self._e = tuple(entries)
+        self._nz: tuple[tuple[int, int, int, Fraction], ...] | None = None
 
     @classmethod
     def zeros(cls, d1: int, d2: int, d3: int) -> "Tensor3":
@@ -317,11 +319,17 @@ class Tensor3:
                      entries: Iterable[tuple[int, int, int, Fraction]]) -> "Tensor3":
         d1, d2, d3 = dims
         buf = [_ZERO] * (d1 * d2 * d3)
+        written: dict[int, tuple[int, int, int]] = {}
         for p, q, t, v in entries:
             if not (0 <= p < d1 and 0 <= q < d2 and 0 <= t < d3):
                 raise DimensionMismatch(f"index ({p},{q},{t}) out of range for {dims}")
-            buf[(p * d2 + q) * d3 + t] = rat(v)
-        return cls(dims, buf)
+            idx = (p * d2 + q) * d3 + t
+            buf[idx] = rat(v)
+            written[idx] = (p, q, t)
+        out = cls(dims, buf)
+        # flat order is (p, q, t) order; a rewritten position keeps its last value
+        out._nz = tuple((*written[idx], buf[idx]) for idx in sorted(written) if buf[idx])
+        return out
 
     @classmethod
     def build(cls, dims: tuple[int, int, int],
@@ -341,12 +349,12 @@ class Tensor3:
         return self._e[base:base + d3]
 
     def nonzero(self) -> Iterator[tuple[int, int, int, Fraction]]:
-        d1, d2, d3 = self.dims
-        for idx, v in enumerate(self._e):
-            if v:
-                p, rem = divmod(idx, d2 * d3)
-                q, t = divmod(rem, d3)
-                yield p, q, t, v
+        """The nonzero entries (p, q, t, value) in (p, q, t) order."""
+        if self._nz is None:
+            _, d2, d3 = self.dims
+            self._nz = tuple((idx // (d2 * d3), idx // d3 % d2, idx % d3, v)
+                             for idx, v in enumerate(self._e) if v)
+        return iter(self._nz)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self._e)

@@ -21,11 +21,9 @@ F0 = Fraction(0)
 
 
 def nested(t: Tensor3) -> list:
+    """t as nested lists, read entry by entry (not through its listing)."""
     d1, d2, d3 = t.dims
-    out = [[[F0] * d3 for _ in range(d2)] for _ in range(d1)]
-    for p, q, r, v in t.nonzero():
-        out[p][q][r] = v
-    return out
+    return [[[t.get(p, q, r) for r in range(d3)] for q in range(d2)] for p in range(d1)]
 
 
 def sc_nested(a: ClusterAlgebra) -> dict[str, list]:
@@ -161,10 +159,9 @@ def oracle_axioms(a: ClusterAlgebra) -> bool:
             8: oracle_octo}[int(a.level)](a)
 
 
-def oracle_bimodule(a: ClusterAlgebra, m) -> bool:
-    """(l, r, V) is a bimodule iff A (+) V, with e_i . v = l(e_i) v,
-    v . e_i = r(e_i) v and V.V = 0, is an algebra of a's level.  The sum
-    is rebuilt here entry by entry from raw nested lists."""
+def semidirect(a: ClusterAlgebra, m) -> ClusterAlgebra:
+    """A (+) V with e_i . v = l(e_i) v, v . e_i = r(e_i) v and V.V = 0,
+    rebuilt entry by entry from raw nested lists."""
     d, md = a.dim, m.module_dim
     n = d + md
     sc = {}
@@ -180,7 +177,39 @@ def oracle_bimodule(a: ClusterAlgebra, m) -> bool:
                     c[i][d + col][d + row] = lmat[row, col]
                     c[d + col][i][d + row] = rmat[row, col]
         sc[op] = Tensor3((n, n, n), [v for plane in c for line in plane for v in line])
-    return oracle_axioms(ClusterAlgebra(a.level, n, sc))
+    return ClusterAlgebra(a.level, n, sc)
+
+
+def oracle_bimodule(a: ClusterAlgebra, m) -> bool:
+    """(l, r, V) is a bimodule iff A (+) V is an algebra of a's level."""
+    return oracle_axioms(semidirect(a, m))
+
+
+def oracle_axiom_report(a: ClusterAlgebra, table) -> list:
+    """The failing rows of the identities in table, as (id, (i, j, k),
+    lhs - rhs on (e_i, e_j, e_k)) in table order and then basis-triple
+    order; an empty list means every identity holds.  table lists (id,
+    ("L", outer, inner), ("R", outer, inner)), for (x inner y) outer z =
+    x outer (y inner z); an op is a base or summed operation of a.  Raw
+    loops over nested lists, in Fraction."""
+    d = a.dim
+    ops = _operations(a)
+    rows = []
+    for ident, *sides in table:
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    x, y, z = _basis(d, i), _basis(d, j), _basis(d, k)
+                    total = [F0] * d
+                    for sign, (shape, outer, inner) in zip((1, -1), sides):
+                        if shape == "L":
+                            value = prod(ops[outer], prod(ops[inner], x, y), z)
+                        else:
+                            value = prod(ops[outer], x, prod(ops[inner], y, z))
+                        total = [t + sign * v for t, v in zip(total, value)]
+                    if any(total):
+                        rows.append((ident, (i, j, k), tuple(total)))
+    return rows
 
 
 def oracle_rota_baxter(a: ClusterAlgebra, matrix) -> bool:
@@ -280,7 +309,7 @@ def formal_mul(c: list, xs: list, ys: list, d: int) -> list:
     return out
 
 
-# The summed operations the equations and form conditions below use,
+# The summed operations the axioms, equations and form conditions use,
 # written out per level.
 _SUMS = {
     2: {"star": ("succ", "prec")},
@@ -289,8 +318,21 @@ _SUMS = {
     8: {"se12": ("se1", "se2"), "ne12": ("ne1", "ne2"), "nw12": ("nw1", "nw2"),
         "sw12": ("sw1", "sw2"), "succ1": ("ne1", "se1"), "prec2": ("nw2", "sw2"),
         "vee1": ("se1", "sw1"), "wedge2": ("ne2", "nw2"),
-        "sigma1": ("se1", "ne1", "nw1", "sw1"), "sigma2": ("se2", "ne2", "nw2", "sw2")},
+        "sigma1": ("se1", "ne1", "nw1", "sw1"), "sigma2": ("se2", "ne2", "nw2", "sw2"),
+        "succ2": ("ne2", "se2"), "prec1": ("nw1", "sw1"), "vee2": ("se2", "sw2"),
+        "wedge1": ("ne1", "nw1"), "gg": ("ne1", "se1", "ne2", "se2"),
+        "ll": ("nw1", "sw1", "nw2", "sw2"), "bigvee": ("se1", "sw1", "se2", "sw2"),
+        "bigwedge": ("ne1", "nw1", "ne2", "nw2"),
+        "star": ("se1", "se2", "ne1", "ne2", "nw1", "nw2", "sw1", "sw2")},
 }
+
+
+def _operations(a: ClusterAlgebra) -> dict[str, list]:
+    """The base and summed operations of a as nested lists."""
+    ops = sc_nested(a)
+    ops.update((sym, add_sc(*(ops[p] for p in parts)))
+               for sym, parts in _SUMS.get(int(a.level), {}).items())
+    return ops
 
 
 def _formal_sum(a: ClusterAlgebra, r, terms) -> list:
@@ -371,9 +413,7 @@ def oracle_form_conditions(a: ClusterAlgebra, grid, table, finer=None) -> list:
     Raw loops over nested lists."""
     d = a.dim
     b = [[grid[i, j] for j in range(d)] for i in range(d)]
-    ops = sc_nested(a)
-    ops.update((sym, add_sc(*(ops[p] for p in parts)))
-               for sym, parts in _SUMS.get(int(a.level), {}).items())
+    ops = _operations(a)
     if finer is not None:
         ops.update(sc_nested(finer))
     rows = []

@@ -4,7 +4,8 @@ check_axioms, check_bimodule, is_o_operator, the tensor equations,
 homomorphism_report, the form conditions of classify_form and
 finer_form_identities clear each object's denominators once and test
 identities on integers; these properties feed them constants with
-coprime and large prime denominators and compare every verdict with the
+coprime and large prime denominators and compare every verdict, and the
+axiom, bimodule, homomorphism and form reports row by row, with the
 brute-force oracles in tests/oracles.py.
 """
 
@@ -14,9 +15,10 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from clusteralg import catalog
-from clusteralg.bimodules import (bimodule_entries, bimodule_from_entries,
-                                  check_bimodule, regular_bimodule)
-from clusteralg.core import (ClusterAlgebra, Level, algebra_entries,
+from clusteralg.bimodules import (_MODULE_SLOTS, Bimodule, bimodule_entries,
+                                  bimodule_from_entries, check_bimodule,
+                                  regular_bimodule)
+from clusteralg.core import (AXIOMS, ClusterAlgebra, Level, algebra_entries,
                              algebra_from_entries, check_axioms)
 from clusteralg.forms import (_COMPOSITES, _FINER_IDENTITIES, _FORM_CONDITIONS,
                               BilinearForm, classify_form, finer_form_identities,
@@ -84,6 +86,10 @@ def _assert_reported_exactly(report) -> None:
             assert gcd(x.numerator, x.denominator) == 1
 
 
+def _rows(report) -> list:
+    return [(v.identity_id, v.witness, v.discrepancy) for v in report.violations]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(sparse_algebras(), catalog_mutants()))
 def test_axioms_agree_with_oracle(a):
@@ -92,16 +98,58 @@ def test_axioms_agree_with_oracle(a):
     _assert_reported_exactly(rep)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_algebras(), catalog_mutants()))
+def test_axiom_report_agrees_with_oracle(a):
+    # ids, witnesses, order and exact discrepancies
+    assert _rows(check_axioms(a)) == oracles.oracle_axiom_report(a, AXIOMS[int(a.level)])
+
+
+@st.composite
+def bimodule_inputs(draw) -> tuple[ClusterAlgebra, Bimodule]:
+    """The regular bimodule of a scaled catalog algebra, perhaps mutated,
+    or a sparse bimodule of a sparse algebra below level 8."""
+    if draw(st.booleans()):
+        a = _scaled(draw(st.sampled_from(BIMODULE_BASES)), draw(nonzero_rationals))
+        return a, bimodule_from_entries(int(a.level), a.dim, a.dim,
+                                        _mutated(draw, bimodule_entries(regular_bimodule(a))))
+    a = draw(sparse_algebras(levels=(1, 2, 4)))
+    md = draw(st.integers(1, 3))
+    key = st.tuples(st.sampled_from("lr"), st.sampled_from(a.level.ops),
+                    st.integers(0, a.dim - 1), *[st.integers(0, md - 1)] * 2)
+    entries = draw(st.dictionaries(key, nonzero_rationals, max_size=3 * md))
+    return a, bimodule_from_entries(int(a.level), a.dim, md,
+                                    [(*k, v) for k, v in entries.items()])
+
+
+def _oracle_module_rows(a: ClusterAlgebra, m: Bimodule) -> list:
+    """check_bimodule's rows read from the oracle's axiom report on the raw
+    A (+) V: per module slot row, per (i, j), the least failing c."""
+    level, d = int(a.level), a.dim
+    ids = [axiom[0] for axiom in AXIOMS[level]]
+    report = {(ident, triple): diff for ident, triple, diff in
+              oracles.oracle_axiom_report(oracles.semidirect(a, m), AXIOMS[level])}
+    rows = []
+    for ident, ax, slot, sign, swap in _MODULE_SLOTS[level]:
+        for i in range(d):
+            for j in range(d):
+                pair = (j, i) if swap else (i, j)
+                for c in range(m.module_dim):
+                    diff = report.get((ids[ax], (*pair[:slot], d + c, *pair[slot:])))
+                    if diff is not None and any(diff[d:]):
+                        rows.append((ident, (i, j, c), tuple(sign * v for v in diff[d:])))
+                        break
+    return rows
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_bimodules_agree_with_oracle(data):
-    # the regular bimodule of a scaled catalog algebra, perhaps mutated
-    a = _scaled(data.draw(st.sampled_from(BIMODULE_BASES)), data.draw(nonzero_rationals))
-    reg = regular_bimodule(a)
-    m = bimodule_from_entries(int(a.level), a.dim, a.dim,
-                              _mutated(data.draw, bimodule_entries(reg)))
+@given(bimodule_inputs())
+def test_bimodules_agree_with_oracle(case):
+    a, m = case
     rep = check_bimodule(a, m)
-    assert rep.ok == oracles.oracle_bimodule(a, m)
+    if oracles.oracle_axioms(a):  # else A (+) V fails off the module slots too
+        assert rep.ok == oracles.oracle_bimodule(a, m)
+    assert _rows(rep) == _oracle_module_rows(a, m)
     _assert_reported_exactly(rep)
 
 

@@ -140,3 +140,37 @@ def test_tensor3_fibre_and_arithmetic():
     assert (t - t).is_zero()
     assert (t + (-t)).is_zero()
     assert t.scale(2).get(0, 1, 0) == Fraction(1)
+
+
+def _dense_scan(t: Tensor3) -> list:
+    """The nonzero entries of t read from its flat storage, in order."""
+    d1, d2, d3 = t.dims
+    return [(p, q, r, t._e[(p * d2 + q) * d3 + r]) for p in range(d1)
+            for q in range(d2) for r in range(d3) if t._e[(p * d2 + q) * d3 + r]]
+
+
+def _entries(draw, dims: tuple[int, int, int]) -> list:
+    """Unsorted entries in dims, with repeated positions and explicit zeros."""
+    position = st.tuples(*(st.integers(0, n - 1) for n in dims))
+    value = st.one_of(st.just(Fraction(0)), rationals)
+    return [(*pos, v) for pos, v in draw(st.lists(st.tuples(position, value), max_size=12))]
+
+
+@given(st.data())
+def test_tensor3_listing_matches_dense_scan(data):
+    dims = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+    entries = _entries(data.draw, dims)
+    t = Tensor3.from_entries(dims, entries)
+    last = {}
+    for p, q, r, v in entries:  # a repeated position keeps its last value
+        last[(p, q, r)] = v
+    assert list(t.nonzero()) == _dense_scan(t) == sorted(
+        (*pos, v) for pos, v in last.items() if v)
+    # the same tensor built from flat storage, and tensors made by arithmetic
+    flat = Tensor3(dims, t._e)
+    assert flat == t and hash(flat) == hash(t)
+    other = Tensor3.from_entries(dims, _entries(data.draw, dims))
+    for made in (flat, t + other, t - other, -t, t.scale(data.draw(rationals))):
+        assert list(made.nonzero()) == _dense_scan(made)
+    assert (t + other) - other == t and hash((t + other) - other) == hash(t)
+    assert list(t.nonzero()) == _dense_scan(t)  # a second call reads the same
