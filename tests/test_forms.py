@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusteralg import catalog, cli
 from clusteralg.bimodules import PreconditionFailed
@@ -509,3 +510,37 @@ def test_finer_form_identities_golden(name):
     rep = finer_form_identities(a, BilinearForm(Matrix(bent)), candidate)
     assert tuple((v.identity_id, v.witness, tuple(map(format_rational, v.discrepancy)))
                  for v in rep.violations) == GOLDEN_FINER_ROWS[name]
+
+
+def _gauss_jordan_rank(grid: list) -> int:
+    """Rank of a square grid by Gauss-Jordan elimination in Fraction."""
+    rows = [[Fraction(v) for v in row] for row in grid]
+    rank = 0
+    for col in range(len(rows)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+small_rationals = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_nondegenerate_agrees_with_gauss_jordan(data):
+    d = data.draw(st.integers(1, 8))
+    line = st.lists(small_rationals, min_size=d, max_size=d)
+    grid = data.draw(st.lists(line, min_size=d, max_size=d))
+    if data.draw(st.booleans()):  # row t becomes a combination of the others
+        t, cs = data.draw(st.integers(0, d - 1)), data.draw(line)
+        grid[t] = [sum((cs[r] * grid[r][c] for r in range(d) if r != t), Fraction(0))
+                   for c in range(d)]
+    assert BilinearForm(Matrix(grid)).is_nondegenerate() == (_gauss_jordan_rank(grid) == d)
