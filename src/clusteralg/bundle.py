@@ -13,14 +13,15 @@ each a name -> object map:
                 "symmetry": "skew"|"sym"|"none"?}
     forms      {"dim", "entries": [[i, j, "p/q"]], "algebra": name?}
 
-Omitted entries are zero; rationals are strings "p" or "p/q"; levels,
-dims and basis indices are non-negative JSON integers (booleans, floats
-and negatives are refused), no dim may exceed ``MAX_DIM``, indices are
-0-based and must lie in 0..dim-1, and no two entries of an object may
-name the same position.  A declared tensor symmetry is verified at parse
-time, and all name cross-references must resolve.  Serialisation is
-canonical (sorted entries and keys) so identical objects give
-byte-identical documents.
+No JSON object may repeat a key, and nesting deeper than the parser
+takes is refused.  Omitted entries are zero; rationals are strings "p"
+or "p/q"; levels, dims and basis indices are non-negative JSON integers
+(booleans, floats and negatives are refused), no dim may exceed
+``MAX_DIM``, indices are 0-based and must lie in 0..dim-1, and no two
+entries of an object may name the same position.  A declared tensor
+symmetry is verified at parse time, and all name cross-references must
+resolve.  Serialisation is canonical (sorted entries and keys) so
+identical objects give byte-identical documents.
 
 ``parse_bundle`` checks every object and refuses the first fault, but
 builds nothing (literals stay strings): an object is built the first
@@ -339,15 +340,27 @@ def parse_bundle(doc: dict) -> Bundle:
                   refs=refs, raw=doc)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key it repeats is refused, not overwritten."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise BundleError(f"bundle repeats the key {key!r} in one JSON object")
+        doc[key] = value
+    return doc
+
+
 def load_bundle(path: str | Path) -> Bundle:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise BundleError(f"cannot read bundle: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise BundleError(f"bundle is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise BundleError("bundle nests too deeply to parse") from None
     return parse_bundle(doc)
 
 

@@ -407,3 +407,38 @@ def test_non_utf8_bundle_names_the_failure(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path), "x")
     assert code == 2
     assert err.startswith("error: cannot read bundle: 'utf-8' codec can't decode")
+
+
+# Documents every input path refuses before reading any object: (text,
+# stderr).  Without the refusal the first ends in a RecursionError, the
+# second checks as its second algebra and the third drops its first "sc".
+_ALGEBRA = '{"level": 1, "dim": 1, "sc": [["star", 0, 0, 0, "1"]]}'
+REFUSED_DOCUMENTS = {
+    "deep": ("[" * 200_000, "error: bundle nests too deeply to parse\n"),
+    "repeated-name": (
+        f'{{"field": "Q", "algebras": {{"a": {_ALGEBRA}, "a": {_ALGEBRA}}}}}',
+        "error: bundle repeats the key 'a' in one JSON object\n"),
+    "repeated-sc": (
+        '{"field": "Q", "algebras": {"a": {"level": 1, "dim": 1, '
+        '"sc": [["star", 0, 0, 0, "1"]], "sc": []}}}',
+        "error: bundle repeats the key 'sc' in one JSON object\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_DOCUMENTS))
+@pytest.mark.parametrize("source", ("bundle", "derive-out", "catalog-override"))
+def test_deep_or_repeated_key_bundle_exit_two(capsys, tmp_path, monkeypatch,
+                                              catalog_path, case, source):
+    text, message = REFUSED_DOCUMENTS[case]
+    path = tmp_path / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    if source == "bundle":
+        argv = ("check", str(path), "a")
+    elif source == "derive-out":
+        argv = ("derive", str(catalog_path), "project", "dend_from_int3", "Assoc",
+                "--out", str(path))
+    else:
+        monkeypatch.setenv("CLUSTERALG_CATALOG", str(tmp_path))
+        argv = ("check", "catalog", "a")
+    assert run(capsys, *argv) == (2, "", message)
+    assert path.read_text(encoding="utf-8") == text  # left as it was
