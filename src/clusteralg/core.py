@@ -276,7 +276,7 @@ def opposite_check(a: ClusterAlgebra) -> Report:
 #
 # Each identity is a pair of single terms.  ("L", outer, inner) denotes
 # (x inner y) outer z and ("R", outer, inner) denotes x outer (y inner z);
-# both sides are evaluated on every basis triple (x, y, z) = (e_i, e_j, e_k).
+# both sides must agree on every basis triple (x, y, z) = (e_i, e_j, e_k).
 
 _Term = tuple[str, str, str]
 
@@ -401,10 +401,7 @@ def check_axioms(a: ClusterAlgebra) -> Report:
     """Evaluate every defining identity of a's level on all basis triples
     (``axiom_sums``); violations come in triple order per identity."""
     den, fibres = scaled_fibres(a)
-    den2 = den * den
-    violations = []
-    for axiom in AXIOMS[int(a.level)]:
-        sums = axiom_sums(axiom, fibres, a.dim)
-        violations.extend(Violation(axiom[0], key, tuple(Fraction(v, den2) for v in row))
-                          for key, row in sorted(sums.items()) if any(row))
-    return Report(tuple(violations))
+    return Report(tuple(
+        Violation(axiom[0], key, tuple(Fraction(v, den * den) for v in row))
+        for axiom in AXIOMS[int(a.level)]
+        for key, row in sorted(axiom_sums(axiom, fibres, a.dim).items()) if any(row)))

@@ -3,16 +3,16 @@
 Everything in this package is computed over the rational field; there
 is no floating point anywhere, so every identity check reduces to an
 exact zero test.  The objects here store ``fractions.Fraction`` entries
-densely, which suits building and transforming desk-scale objects.  The
-identity checkers (axioms, bimodules, O-operators, the tensor equations,
-the homomorphism test, the form conditions) and the transported products
-of the constructions do not evaluate in ``Fraction``: they clear each
-object's denominators once (``core.scaled_fibres``, ``Matrix.scaled_cols``)
-and work on sparse Python ints, which is several times faster and as exact.
+densely, which suits building and transforming desk-scale objects; a
+``Tensor3`` also keeps the sorted listing of its nonzero entries.  The
+identity checkers and the transported products of the constructions do
+not evaluate in ``Fraction``: they clear each object's denominators once
+(``core.scaled_fibres``, ``Matrix.scaled_cols``) and sum over nonzero
+entries only, on Python ints, which is several times faster and as exact.
 
-Square systems are solved by fraction-free (Bareiss) Gaussian
-elimination on an integer-cleared augmented matrix, which keeps the
-intermediate entries polynomially bounded.
+Square systems are solved by fraction-free (Bareiss) elimination on an
+integer-cleared augmented matrix, which keeps intermediate entries
+polynomially bounded; with no right-hand side it is a rank test.
 """
 
 from __future__ import annotations
@@ -297,10 +297,10 @@ def solve_consistent(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 class Tensor3:
-    """Order-3 tensor over Q with flat immutable storage; the sorted listing
-    of its nonzero entries is kept from ``from_entries``, else made once."""
+    """Order-3 tensor over Q with flat immutable storage, and the sorted
+    listing of its nonzero entries, made once (``nonzero``)."""
 
-    __slots__ = ("dims", "_e", "_nz")
+    __slots__ = ("dims", "_e", "_nz", "_written")
 
     def __init__(self, dims: tuple[int, int, int], entries: Sequence[Fraction]):
         d1, d2, d3 = dims
@@ -309,6 +309,7 @@ class Tensor3:
         self.dims = (d1, d2, d3)
         self._e = tuple(entries)
         self._nz: tuple[tuple[int, int, int, Fraction], ...] | None = None
+        self._written: list[int] | None = None  # flat positions from_entries set
 
     @classmethod
     def zeros(cls, d1: int, d2: int, d3: int) -> "Tensor3":
@@ -319,16 +320,15 @@ class Tensor3:
                      entries: Iterable[tuple[int, int, int, Fraction]]) -> "Tensor3":
         d1, d2, d3 = dims
         buf = [_ZERO] * (d1 * d2 * d3)
-        written: dict[int, tuple[int, int, int]] = {}
+        written = []
         for p, q, t, v in entries:
             if not (0 <= p < d1 and 0 <= q < d2 and 0 <= t < d3):
                 raise DimensionMismatch(f"index ({p},{q},{t}) out of range for {dims}")
             idx = (p * d2 + q) * d3 + t
             buf[idx] = rat(v)
-            written[idx] = (p, q, t)
+            written.append(idx)
         out = cls(dims, buf)
-        # flat order is (p, q, t) order; a rewritten position keeps its last value
-        out._nz = tuple((*written[idx], buf[idx]) for idx in sorted(written) if buf[idx])
+        out._written = written
         return out
 
     @classmethod
@@ -349,11 +349,14 @@ class Tensor3:
         return self._e[base:base + d3]
 
     def nonzero(self) -> Iterator[tuple[int, int, int, Fraction]]:
-        """The nonzero entries (p, q, t, value) in (p, q, t) order."""
+        """The nonzero entries (p, q, t, value) in (p, q, t) order; a tensor
+        from ``from_entries`` reads only the positions it set."""
         if self._nz is None:
             _, d2, d3 = self.dims
-            self._nz = tuple((idx // (d2 * d3), idx // d3 % d2, idx % d3, v)
-                             for idx, v in enumerate(self._e) if v)
+            e, written = self._e, self._written
+            at = range(len(e)) if written is None else sorted(set(written))
+            self._nz = tuple((i // (d2 * d3), i // d3 % d2, i % d3, e[i]) for i in at if e[i])
+            self._written = None
         return iter(self._nz)
 
     def is_zero(self) -> bool:
