@@ -144,16 +144,16 @@ def check_bimodule(a: ClusterAlgebra, m: Bimodule) -> Report:
     den, fibres = scaled_fibres(s)
     den2 = den * den
     # the outer products skip the A.A block, so every triple reached has
-    # exactly one module slot, and a row is the V-part of lhs - rhs
+    # exactly one module slot, and lhs - rhs lies in V
     sums = [sorted(axiom_sums(axiom, fibres, s.dim, skip=d).items())
             for axiom in AXIOMS[level]]
     violations = []
     for ident, ax, slot, sign, swap in _MODULE_SLOTS[level]:
         least: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for key, row in sums[ax]:  # in key order: the least c comes first
-            if key[slot] >= d and any(row):
+            if key[slot] >= d and any(row[d:]):
                 pair = key[:slot] + key[slot + 1:]
-                least.setdefault(pair[::-1] if swap else pair, (key[slot] - d, row))
+                least.setdefault(pair[::-1] if swap else pair, (key[slot] - d, row[d:]))
         for ij, (c, row) in sorted(least.items()):
             violations.append(Violation(ident, (*ij, c),
                                         tuple(Fraction(sign * v, den2) for v in row)))

@@ -376,7 +376,7 @@ def axiom_sums(axiom: tuple[str, _Term, _Term], fibres: Mapping[str, Fibres], n:
     defect.  Per side, the outer operation's fibres are indexed by the slot
     the inner product feeds, and each nonzero inner product is multiplied
     into those only.  With skip = s the outer operation reads no fibre
-    (p, q) with p, q < s, and a row holds coordinates s..n-1."""
+    (p, q) with p, q < s."""
     acc: dict[tuple[int, int, int], list[int]] = {}
     for sign, (shape, outer, inner) in zip((1, -1), axiom[1:]):
         left = shape == "L"  # (e_i inner e_j) outer e_k, else e_i outer (e_j inner e_k)
@@ -391,9 +391,9 @@ def axiom_sums(axiom: tuple[str, _Term, _Term], fibres: Mapping[str, Fibres], n:
                     key = (p, q, r) if left else (r, p, q)
                     row = acc.get(key)
                     if row is None:
-                        row = acc[key] = [0] * (n - skip)
+                        row = acc[key] = [0] * n
                     for t, v in out:
-                        row[t - skip] += c * v
+                        row[t] += c * v
     return acc
 
 
