@@ -435,3 +435,28 @@ def oracle_form_conditions(a: ClusterAlgebra, grid, table, finer=None) -> list:
                     if total:
                         rows.append((name, (i, j, k), total))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
+
+def oracle_rref(grid: list) -> tuple[tuple[int, ...], list]:
+    """The pivot columns and the rows of the reduced row-echelon form of
+    grid (nested lists of rationals), by Gauss-Jordan elimination in
+    Fraction: each pivot row is divided by its pivot, and the pivot
+    column is cleared above and below.  The zero rows come last."""
+    rows = [[Fraction(v) for v in row] for row in grid]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return tuple(pivots), rows

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clusteralg.linalg import (DimensionMismatch, Matrix, Singular, Tensor3,
                                format_rational, parse_rational,
                                permute_tensor3, row_echelon_pivots,
                                solve_consistent)
+
+import oracles
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -97,6 +99,75 @@ def test_solve_consistent_and_pivots():
     assert a.apply(x) == (Fraction(1), Fraction(2), Fraction(3))
     with pytest.raises(Singular):
         solve_consistent(a, (Fraction(1), Fraction(3), Fraction(0)))
+
+
+small_rationals = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=7))
+
+
+def _matrix(grid: list, cols: int) -> Matrix:
+    return Matrix(grid) if grid else Matrix.zeros(0, cols)
+
+
+def _check_against_rref(grid: list, cols: int, b: list, rhs: list) -> None:
+    """row_echelon_pivots, solve_consistent, Matrix.solve and inverse on
+    grid (cols columns) against oracles.oracle_rref: equal results, or
+    both sides find the system singular or inconsistent."""
+    a = _matrix(grid, cols)
+    pivots, _ = oracles.oracle_rref(grid)
+    assert row_echelon_pivots(a) == pivots
+    aug_pivots, reduced = oracles.oracle_rref([row + [v] for row, v in zip(grid, b)])
+    if cols in aug_pivots:
+        with pytest.raises(Singular, match="^inconsistent linear system$"):
+            solve_consistent(a, b)
+    else:
+        x = [Fraction(0)] * cols
+        for row, c in zip(reduced, aug_pivots):
+            x[c] = row[-1]
+        assert solve_consistent(a, b) == tuple(x)
+    n = len(grid)
+    if n != cols:
+        with pytest.raises(DimensionMismatch):
+            a.inverse()
+        return
+    k = len(rhs[0]) if rhs else 0
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for right, width, solve in ((rhs, k, lambda: a.solve(_matrix(rhs, k))),
+                                (eye, n, a.inverse)):
+        _, reduced = oracles.oracle_rref([row + extra for row, extra in zip(grid, right)])
+        if len(pivots) < n:
+            with pytest.raises(Singular, match="^matrix is singular$"):
+                solve()
+        else:
+            assert solve() == _matrix([row[n:] for row in reduced], width)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)])
+def test_eliminations_on_empty_shapes(rows, cols):
+    grid = [[Fraction(0)] * cols for _ in range(rows)]
+    for b in ([Fraction(0)] * rows, [Fraction(i + 1) for i in range(rows)]):
+        _check_against_rref(grid, cols, b, [[Fraction(1), Fraction(2)]] * rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eliminations_agree_with_rref_oracle(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    grid = data.draw(st.lists(st.lists(small_rationals, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+    if rows > 1 and data.draw(st.booleans()):  # row t becomes a combination of the others
+        t = data.draw(st.integers(0, rows - 1))
+        cs = data.draw(st.lists(small_rationals, min_size=rows, max_size=rows))
+        grid[t] = [sum((cs[r] * grid[r][c] for r in range(rows) if r != t), Fraction(0))
+                   for c in range(cols)]
+    if data.draw(st.booleans()):  # b = a x, a consistent system
+        x = data.draw(st.lists(small_rationals, min_size=cols, max_size=cols))
+        b = [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in grid]
+    else:
+        b = data.draw(st.lists(small_rationals, min_size=rows, max_size=rows))
+    k = data.draw(st.integers(0, 3))
+    rhs = data.draw(st.lists(st.lists(small_rationals, min_size=k, max_size=k),
+                             min_size=rows, max_size=rows))
+    _check_against_rref(grid, cols, b, rhs)
 
 
 def _coordinate_tensor(d, p, q, t):
