@@ -41,7 +41,7 @@ from .bimodules import Bimodule, bimodule_entries, bimodule_from_entries
 from .core import (ClusterAlgebra, Level, LevelError, algebra_entries,
                    algebra_from_entries)
 from .forms import BilinearForm
-from .linalg import Matrix, format_rational, parse_rational, rational_parts
+from .linalg import Matrix, format_rational, parse_rational, rational_parts, shown
 from .operators import InterMap
 from .yangbaxter import Tensor2
 
@@ -62,7 +62,7 @@ class BundleError(ValueError):
 def _literal(value) -> None:
     """Check a rational literal's syntax; it stays a string until built."""
     if not isinstance(value, str):
-        raise BundleError(f"rationals must be strings, got {value!r}")
+        raise BundleError(f"rationals must be strings, got {shown(value)}")
     try:
         rational_parts(value)
     except ValueError as exc:
@@ -72,7 +72,7 @@ def _literal(value) -> None:
 def _int(value, what: str) -> int:
     """A JSON integer >= 0; booleans, floats and negatives are refused."""
     if type(value) is not int or value < 0:
-        raise BundleError(f"{what} {value!r} is not a non-negative integer")
+        raise BundleError(f"{what} {shown(value)} is not a non-negative integer")
     return value
 
 
@@ -80,14 +80,15 @@ def _dim(doc: dict, key: str) -> int:
     """A declared dimension: an integer in 0..MAX_DIM."""
     value = _int(doc[key], key)
     if value > MAX_DIM:
-        raise BundleError(f"{key} {value} exceeds the cap of {MAX_DIM}")
+        raise BundleError(f"{key} {shown(value)} exceeds the cap of {MAX_DIM}")
     return value
 
 
 def _bad_index(entry, value, dim: int) -> NoReturn:
     """Refuse a basis index of an entry that is not in 0..dim-1."""
-    _int(value, f"entry {entry!r}: index")  # raises unless an integer >= 0
-    raise BundleError(f"entry {entry!r}: index {value} is outside 0..{dim - 1}")
+    _int(value, f"entry {shown(entry)}: index")  # raises unless an integer >= 0
+    raise BundleError(f"entry {shown(entry)}: index {shown(value)} "
+                      f"is outside 0..{dim - 1}")
 
 
 def _fields(entry, width: int) -> tuple:
@@ -124,7 +125,7 @@ def _rows(entries, lead: int, dims: tuple[int, ...], literals: set) -> dict[tupl
                 _bad_index(entry, x, dim)
         pos = tuple(fields[:-1])
         if pos in rows:
-            raise BundleError(f"entry {entry!r}: duplicate of an earlier entry "
+            raise BundleError(f"entry {shown(entry)}: duplicate of an earlier entry "
                               "at the same position")
         v = rows[pos] = fields[-1]
         if type(v) is not str or v not in literals:
@@ -152,7 +153,7 @@ def _check_algebra(doc: dict, literals: set) -> tuple:
     ops = level.ops
     bad = [op for op, *_ in rows if op not in ops]
     if bad:
-        raise LevelError(f"operation {bad[0]!r} not defined at level {int(level)}")
+        raise LevelError(f"operation {shown(bad[0])} not defined at level {int(level)}")
     return level, dim, rows
 
 
@@ -170,7 +171,8 @@ def _check_bimodule(doc: dict, literals: set) -> tuple:
     ops = level.ops
     bad = [pos for pos in rows if pos[0] not in ("l", "r") or pos[1] not in ops]
     if bad:
-        raise LevelError(f"bad bimodule entry side/op: {bad[0][0]!r}/{bad[0][1]!r}")
+        side, op = bad[0][:2]
+        raise LevelError(f"bad bimodule entry side/op: {shown(side)}/{shown(op)}")
     if level == Level.OCTO:
         raise LevelError("no level-8 bimodule is defined")
     return level, d, md, rows
@@ -220,7 +222,7 @@ def _check_tensor(doc: dict, literals: set) -> tuple:
     if declared == "sym" and not _symmetric(checked[2], 1):
         raise BundleError("tensor declared sym is not symmetric")
     if declared not in (None, "skew", "sym", "none"):
-        raise BundleError(f"unknown symmetry {declared!r}")
+        raise BundleError(f"unknown symmetry {shown(declared)}")
     return checked
 
 
@@ -286,16 +288,17 @@ class Bundle:
         """Locate an object by name, optionally within one section."""
         if kind is not None:
             if kind not in SECTIONS:
-                raise BundleError(f"unknown section {kind!r}")
+                raise BundleError(f"unknown section {shown(kind)}")
             try:
                 return kind, self.section(kind)[name]
             except KeyError:
-                raise BundleError(f"no {kind[:-1]} named {name!r} in the bundle") from None
+                raise BundleError(f"no {kind[:-1]} named {shown(name)} "
+                                  "in the bundle") from None
         kinds = [s for s in SECTIONS if name in self.section(s)]
         if not kinds:
-            raise BundleError(f"no object named {name!r} in the bundle")
+            raise BundleError(f"no object named {shown(name)} in the bundle")
         if len(kinds) > 1:
-            raise BundleError(f"name {name!r} is ambiguous across sections "
+            raise BundleError(f"name {shown(name)} is ambiguous across sections "
                               f"{kinds}; pass --kind")
         return kinds[0], self.section(kinds[0])[name]
 
@@ -318,7 +321,7 @@ def parse_bundle(doc: dict) -> Bundle:
     for section in SECTIONS:
         objects = doc.get(section, {})
         if not isinstance(objects, dict):
-            raise BundleError(f"section {section!r} must be a name->object map")
+            raise BundleError(f"section {shown(section)} must be a name->object map")
         what, ref_keys, check, _ = _KINDS[section]
         checked[section] = {}
         for name, obj in objects.items():
@@ -334,7 +337,7 @@ def parse_bundle(doc: dict) -> Bundle:
     for (section, name), obj_refs in refs.items():
         for key, target in obj_refs.items():
             if not isinstance(target, str) or target not in checked[_REF_SECTION[key]]:
-                raise BundleError(f"{section}/{name}: reference {key}={target!r} "
+                raise BundleError(f"{section}/{name}: reference {key}={shown(target)} "
                                   "does not resolve")
     return Bundle(**{s: Section(_KINDS[s][3], checked[s]) for s in SECTIONS},
                   refs=refs, raw=doc)
@@ -345,7 +348,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise BundleError(f"bundle repeats the key {key!r} in one JSON object")
+            raise BundleError(f"bundle repeats the key {shown(key)} in one JSON object")
         doc[key] = value
     return doc
 

@@ -34,7 +34,7 @@ from enum import IntEnum
 from math import lcm
 from typing import Iterable, Mapping
 
-from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, rat
+from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, rat, shown
 
 
 class SymbolInvalidAtLevel(ValueError):
@@ -64,7 +64,8 @@ class Level(IntEnum):
         try:
             return cls(value)
         except ValueError:
-            raise LevelError(f"level must be one of 1, 2, 4, 8, got {value!r}") from None
+            raise LevelError("level must be one of 1, 2, 4, 8, "
+                             f"got {shown(value)}") from None
 
 
 _LEVEL_OPS: dict[int, tuple[str, ...]] = {

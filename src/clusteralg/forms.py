@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .bimodules import PreconditionFailed, dual_bimodule, regular_bimodule
 from .core import ClusterAlgebra, LevelError, Report, Violation, scaled_fibres
-from .linalg import DimensionMismatch, Fraction, Matrix, Singular
+from .linalg import DimensionMismatch, Fraction, Matrix, Singular, row_echelon_pivots
 from .operators import InterMap, VerificationFailed, compatible_from_invertible
 from .yangbaxter import (Tensor2, check_aybe, check_d_equation,
                          check_q_equation)
@@ -72,12 +72,7 @@ class BilinearForm:
         return self.matrix.transpose() == -self.matrix
 
     def is_nondegenerate(self) -> bool:
-        # forward elimination only: a solve for no columns stops there
-        try:
-            self.matrix.solve(Matrix.zeros(self.matrix.rows, 0))
-        except Singular:
-            return False
-        return True
+        return len(row_echelon_pivots(self.matrix)) == self.dim
 
 
 # Form conditions per level.  Each term is signed B(product, basis) or

@@ -10,9 +10,11 @@ not evaluate in ``Fraction``: they clear each object's denominators once
 (``core.scaled_fibres``, ``Matrix.scaled_cols``) and sum over nonzero
 entries only, on Python ints, which is several times faster and as exact.
 
-Square systems are solved by fraction-free (Bareiss) elimination on an
-integer-cleared augmented matrix, which keeps intermediate entries
-polynomially bounded; with no right-hand side it is a rank test.
+Every exact solve (``Matrix.solve`` and ``inverse``, ``solve_consistent``)
+and the rank profile (``row_echelon_pivots``) read one fraction-free
+Gauss-Jordan reduction (Bareiss) of the integer-cleared augmented matrix,
+``_eliminate``: its divisions are exact and its entries stay polynomially
+bounded, and a solution is a reduced right-hand side over the pivot.
 """
 
 from __future__ import annotations
@@ -46,15 +48,28 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+# The longest repr an error message shows whole.
+_SHOWN = 64
+
+
+def shown(value) -> str:
+    """repr(value) for an error message: whole up to _SHOWN characters,
+    cut short after that, so an oversized input is not echoed back."""
+    text = repr(value)
+    if len(text) <= _SHOWN:
+        return text
+    return f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
 def rational_parts(text: str) -> tuple[int, int]:
     """p and q != 0 of "p" or "p/q" as written: parse_rational's check."""
     num, sep, den = text.strip().partition("/")
     try:
         p, q = int(num), int(den) if sep else 1
     except ValueError as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+        raise ValueError(f"not a rational literal: {shown(text)}") from exc
     if not q:
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {shown(text)}")
     return p, q
 
 
@@ -207,62 +222,53 @@ class Matrix:
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """Solve self @ X = rhs for square self; raises Singular."""
-        if self.rows != self.cols:
+        n = self.rows
+        if n != self.cols:
             raise DimensionMismatch("solve needs a square coefficient matrix")
-        if rhs.rows != self.rows:
+        if rhs.rows != n:
             raise DimensionMismatch("right-hand side has wrong height")
-        return _bareiss_solve(self, rhs)
-
-
-def _bareiss_solve(a: Matrix, rhs: Matrix) -> Matrix:
-    """Fraction-free forward elimination, Fraction back substitution."""
-    n, k = a.rows, rhs.cols
-    # clear denominators row by row; row scaling preserves the solution set
-    m: list[list[int]] = []
-    for i in range(n):
-        row = list(a.row(i)) + list(rhs.row(i))
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        m.append([int(x * mult) for x in row])
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
+        pivots, m = _eliminate(a + b for a, b in zip(self._r, rhs._r))
+        if pivots[:n] != list(range(n)):
             raise Singular("matrix is singular")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n + k):
-                m[r][c] = (m[col][col] * m[r][c] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    sol: list[list[Fraction]] = [[_ZERO] * k for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for j in range(k):
-            s = Fraction(m[i][n + j])
-            for c in range(i + 1, n):
-                s -= m[i][c] * sol[c][j]
-            sol[i][j] = s / m[i][i]
-    return Matrix(sol)._keep_cols(k)
+        return Matrix([Fraction(x, row[i]) for x in row[n:]]
+                      for i, row in enumerate(m))._keep_cols(rhs.cols)
+
+
+def _eliminate(rows: Iterable[Sequence[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan reduction (Bareiss) of rational rows.
+
+    Each row is first cleared of denominators, which keeps its span.
+    Returns the pivot columns and the reduced integer rows: row i has its
+    pivot in column pivots[i], every pivot entry equals the last pivot,
+    a pivot column is zero outside its pivot row, and the rows past the
+    pivot rows are zero.  Every entry is a minor of the cleared matrix,
+    so each division is exact and entries stay polynomially bounded.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top, p = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
+    return pivots, m
 
 
 def row_echelon_pivots(a: Matrix) -> tuple[int, ...]:
     """Pivot column indices of a row-echelon reduction (rank profile)."""
-    work = [list(a.row(i)) for i in range(a.rows)]
-    pivots = []
-    r = 0
-    for c in range(a.cols):
-        piv = next((i for i in range(r, a.rows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, a.rows):
-            f = work[i][c] / work[r][c]
-            if f:
-                for j in range(c, a.cols):
-                    work[i][j] -= f * work[r][j]
-        pivots.append(c)
-        r += 1
-    return tuple(pivots)
+    return tuple(_eliminate(a._r)[0])
 
 
 def solve_consistent(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -271,28 +277,12 @@ def solve_consistent(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     Works for rectangular or rank-deficient systems; raises Singular when
     the system is inconsistent.
     """
-    work = [list(a.row(i)) + [rat(b[i])] for i in range(a.rows)]
-    n, cols = a.rows, a.cols
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(n):
-            if i != r and work[i][c]:
-                f = work[i][c] / work[r][c]
-                for j in range(c, cols + 1):
-                    work[i][j] -= f * work[r][j]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, n):
-        if work[i][cols] != 0:
-            raise Singular("inconsistent linear system")
-    x = [_ZERO] * cols
-    for i, c in pivots:
-        x[c] = work[i][cols] / work[i][c]
+    pivots, m = _eliminate([*a.row(i), rat(b[i])] for i in range(a.rows))
+    if a.cols in pivots:  # a zero row of a with a nonzero right-hand side
+        raise Singular("inconsistent linear system")
+    x = [_ZERO] * a.cols
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[-1], row[c])
     return tuple(x)
 
 

@@ -436,14 +436,15 @@ def image_double_solution(a: ClusterAlgebra, m: Bimodule,
                          "map has no image to lift into")
     w = Matrix.from_cols([t.column(c) for c in pivots])  # basis of T(V)
     k = len(pivots)
+    # T = w s, so T(fibre) has the coordinates s(fibre) in the basis w
+    s = Matrix.from_cols([solve_consistent(w, t.column(j))
+                          for j in range(m.module_dim)])
     sc = {}
     for op, tensor in induced_tensors(a, m, t).items():
-        entries = []
-        for alpha, p in enumerate(pivots):
-            for beta, q in enumerate(pivots):
-                coords = solve_consistent(w, t(tensor.fibre(p, q)))
-                entries.extend((alpha, beta, kk, v) for kk, v in enumerate(coords) if v)
-        sc[op] = Tensor3.from_entries((k, k, k), entries)
+        sc[op] = Tensor3.from_entries((k, k, k), [
+            (alpha, beta, kk, v) for alpha, p in enumerate(pivots)
+            for beta, q in enumerate(pivots)
+            for kk, v in enumerate(s.apply(tensor.fibre(p, q))) if v])
     image = ClusterAlgebra(Level.of(2 * level), k, sc)
     pulled = Bimodule(m.level, k, m.module_dim,
                       {op: tuple(apply_action(m, "l", op, w.col(al)) for al in range(k))
@@ -452,8 +453,6 @@ def image_double_solution(a: ClusterAlgebra, m: Bimodule,
                        for op in m.level.ops})
     _, module = restrict_bimodule(image, pulled,
                                   "embed-assoc" if level == 1 else "embed-dend")
-    s = Matrix.from_cols([solve_consistent(w, t.column(j))
-                          for j in range(m.module_dim)])
     return lift_o_operator(image, module, InterMap(s),
                            "sym" if level == 1 else "skew")
 

@@ -9,7 +9,6 @@ from clusteralg.bundle import dumps, parse_bundle
 from clusteralg.catalog import (CatalogCorrupt, SplitMix64, UnknownEntry,
                                 catalog_bundle)
 from clusteralg.core import check_axioms
-from clusteralg.linalg import Matrix
 from clusteralg.operators import is_rota_baxter
 
 import oracles
@@ -85,10 +84,10 @@ def test_random_tensor2_determinism_and_parity():
 
 
 def test_random_invertible_tensor2_skips_only_singular(monkeypatch):
-    def broken(self):
+    def broken(m):
         raise ZeroDivisionError("not a singularity report")
 
-    monkeypatch.setattr(Matrix, "inverse", broken)
+    monkeypatch.setattr(catalog, "row_echelon_pivots", broken)
     with pytest.raises(ZeroDivisionError):
         catalog.random_invertible_tensor2(4, "sym", 0)
 

@@ -442,3 +442,29 @@ def test_deep_or_repeated_key_bundle_exit_two(capsys, tmp_path, monkeypatch,
         argv = ("check", "catalog", "a")
     assert run(capsys, *argv) == (2, "", message)
     assert path.read_text(encoding="utf-8") == text  # left as it was
+
+
+# Documents whose offending value is too long to echo whole: the error
+# names it by a cut-short repr.  (document text, start of stderr)  The
+# level nests 500 deep, well inside the JSON parser's depth under pytest;
+# its whole repr is 1,000 characters.
+OVERSIZED_VALUES = {
+    "long-literal": (
+        '{"field": "Q", "algebras": {"a": {"level": 1, "dim": 1, '
+        f'"sc": [["star", 0, 0, 0, "{"1" * 5000}"]]}}}}}}',
+        "error: algebras/a: not a rational literal: '1111"),
+    "deep-level": (
+        '{"field": "Q", "algebras": {"a": {"level": '
+        f'{"[" * 500}{"]" * 500}, "dim": 1, "sc": []}}}}}}',
+        "error: algebras/a: level [[[["),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_VALUES))
+def test_oversized_value_is_cut_short(capsys, tmp_path, case):
+    text, start = OVERSIZED_VALUES[case]
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), "a")
+    assert (code, out) == (2, "")
+    assert err.startswith(start) and len(err.encode("utf-8")) < 300, err[:400]

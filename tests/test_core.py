@@ -4,11 +4,11 @@ import pytest
 
 from clusteralg import catalog
 from clusteralg.catalog import SplitMix64
-from clusteralg.core import (ClusterAlgebra, Level, ProjectionInvalidAtLevel,
+from clusteralg.core import (AXIOMS, ClusterAlgebra, Level, ProjectionInvalidAtLevel,
                              SymbolInvalidAtLevel, check_axioms, derived_op,
                              mult_operator, opposite, opposite_check, project,
                              projection_targets, zero_algebra)
-from clusteralg.bimodules import check_bimodule, octo_depth_bimodule
+from clusteralg.bimodules import _MODULE_SLOTS, check_bimodule, octo_depth_bimodule
 from clusteralg.linalg import Matrix, Tensor3
 
 import oracles
@@ -67,17 +67,9 @@ def test_checker_agrees_with_oracle_on_mutants(name):
 def test_octo_table_matches_depth_action_route():
     # per-identity agreement between the direct level-8 table and the
     # substituted level-4 bimodule identities, on random non-octo inputs
-    corr = {
-        "4.1.1-1": "4.4.7-1", "4.1.1-2": "4.4.4-1", "4.1.1-3": "4.4.1-1",
-        "4.1.2-1": "4.4.8-1", "4.1.2-2": "4.4.5-1", "4.1.2-3": "4.4.2-1",
-        "4.1.3-1": "4.4.9-1", "4.1.3-2": "4.4.6-1", "4.1.3-3": "4.4.3-1",
-        "4.1.4-1": "4.4.7-2", "4.1.4-2": "4.4.4-2", "4.1.4-3": "4.4.1-2",
-        "4.1.5-1": "4.4.8-2", "4.1.5-2": "4.4.5-2", "4.1.5-3": "4.4.2-2",
-        "4.1.6-1": "4.4.9-2", "4.1.6-2": "4.4.6-2", "4.1.6-3": "4.4.3-2",
-        "4.1.7-1": "4.4.7-3", "4.1.7-2": "4.4.4-3", "4.1.7-3": "4.4.1-3",
-        "4.1.8-1": "4.4.8-3", "4.1.8-2": "4.4.5-3", "4.1.8-3": "4.4.2-3",
-        "4.1.9-1": "4.4.9-3", "4.1.9-2": "4.4.6-3", "4.1.9-3": "4.4.3-3",
-    }
+    # 4.1.n-s is level-4 axiom ax with the module in slot `slot`; the level-8
+    # table holds the 9 level-4 axioms once per slot, in blocks of 9 by slot
+    corr = {ident: AXIOMS[8][9 * slot + ax][0] for ident, ax, slot, *_ in _MODULE_SLOTS[4]}
     for seed in range(6):
         rng = SplitMix64(seed)
         sc = {}
