@@ -240,6 +240,82 @@ def oracle_rota_baxter(a: ClusterAlgebra, matrix) -> bool:
     return True
 
 
+# The O-operator identity ids per operation, written out.
+_O_IDS = {
+    1: {"star": "2.1.3"},
+    2: {"succ": "3.3.1-succ", "prec": "3.3.1-prec"},
+    4: {"se": "4.2.1", "ne": "4.2.2", "nw": "4.2.3", "sw": "4.2.4"},
+}
+
+
+def _act(mats, x: list, v: list) -> list:
+    """(sum_k x_k mats[k]) v for action matrices mats, raw loops."""
+    n = len(v)
+    out = [F0] * n
+    for k, xk in enumerate(x):
+        if xk:
+            for row in range(n):
+                for col in range(n):
+                    out[row] += xk * mats[k][row, col] * v[col]
+    return out
+
+
+def _map_cols(matrix, rows: int, cols: int) -> list:
+    return [[matrix[r, c] for r in range(rows)] for c in range(cols)]
+
+
+def oracle_o_operator(a: ClusterAlgebra, m, matrix) -> list:
+    """The failing rows of T(u) op T(w) = T(l_op(T u) w + r_op(T w) u) for
+    T: V -> A with the given matrix, as (id, (i, j), A-part - T(V-part)) on
+    (v_i, v_j), per operation of a's level and then in pair order.  Raw
+    loops over the action matrices m.lmap/m.rmap, in Fraction; an empty
+    list means T is an O-operator."""
+    d, md = a.dim, m.module_dim
+    cols = _map_cols(matrix, d, md)
+    rows = []
+    for op in a.level.ops:
+        c = nested(a.sc[op])
+        for i in range(md):
+            for j in range(md):
+                apart = prod(c, cols[i], cols[j])
+                vpart = [x + y for x, y in zip(_act(m.lmap[op], cols[i], _basis(md, j)),
+                                               _act(m.rmap[op], cols[j], _basis(md, i)))]
+                tv = [sum((cols[k][r] * vk for k, vk in enumerate(vpart)), F0)
+                      for r in range(d)]
+                diff = tuple(x - y for x, y in zip(apart, tv))
+                if any(diff):
+                    rows.append((_O_IDS[int(a.level)][op], (i, j), diff))
+    return rows
+
+
+# The operations an O-operator induces on V, written out: u o w is
+# l_op(T u) w for ("l", op) and r_op(T w) u for ("r", op).
+_INDUCED = {
+    1: {"succ": ("l", "star"), "prec": ("r", "star")},
+    2: {"se": ("l", "succ"), "ne": ("r", "succ"), "sw": ("l", "prec"), "nw": ("r", "prec")},
+    4: {"se1": ("r", "se"), "se2": ("l", "se"), "ne1": ("r", "ne"), "ne2": ("l", "ne"),
+        "nw1": ("r", "nw"), "nw2": ("l", "nw"), "sw1": ("r", "sw"), "sw2": ("l", "sw")},
+}
+
+
+def oracle_induced(a: ClusterAlgebra, m, matrix) -> dict[str, list]:
+    """Per operation of the finer level, the structure constants (nested
+    lists, [u][w][k]) of the product that T: V -> A with the given matrix
+    induces on V, by raw loops over the action matrices in Fraction."""
+    d, md = a.dim, m.module_dim
+    cols = _map_cols(matrix, d, md)
+    out = {}
+    for new_op, (side, op) in _INDUCED[int(a.level)].items():
+        mats = m.lmap[op] if side == "l" else m.rmap[op]
+        c = [[None] * md for _ in range(md)]
+        for u in range(md):
+            for w in range(md):
+                x, v = (cols[u], w) if side == "l" else (cols[w], u)
+                c[u][w] = _act(mats, x, _basis(md, v))
+        out[new_op] = c
+    return out
+
+
 # The canonical coarser projection of each finer level, written out: each
 # operation of the coarser algebra is the sum of the listed finer ones.
 _COARSER = {

@@ -3,10 +3,12 @@
 check_axioms, check_bimodule, is_o_operator, the tensor equations,
 homomorphism_report, the form conditions of classify_form and
 finer_form_identities clear each object's denominators once and test
-identities on integers; these properties feed them constants with
-coprime and large prime denominators and compare every verdict, and the
-axiom, bimodule, homomorphism and form reports row by row, with the
-brute-force oracles in tests/oracles.py.
+identities on integers, and induced_tensors contracts on integers too;
+these properties feed them constants with coprime and large prime
+denominators and compare every verdict, the axiom, bimodule,
+O-operator, homomorphism and form reports row by row, and the induced
+structure constants entry by entry, with the brute-force oracles in
+tests/oracles.py.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ from clusteralg.forms import (_COMPOSITES, _FINER_IDENTITIES, _FORM_CONDITIONS,
                               finer_from_form, tensor_to_form)
 from clusteralg.linalg import Matrix
 from clusteralg.operators import (InterMap, homomorphism_report, induce_on_module,
-                                  is_rota_baxter)
+                                  induced_tensors, is_o_operator, is_rota_baxter)
 from clusteralg.yangbaxter import (Tensor2, canonical_double_solution, check_aybe,
                                    check_d_equation, check_o_equation,
                                    check_q_equation)
@@ -114,12 +116,15 @@ def bimodule_inputs(draw) -> tuple[ClusterAlgebra, Bimodule]:
         return a, bimodule_from_entries(int(a.level), a.dim, a.dim,
                                         _mutated(draw, bimodule_entries(regular_bimodule(a))))
     a = draw(sparse_algebras(levels=(1, 2, 4)))
-    md = draw(st.integers(1, 3))
+    return a, _sparse_bimodule(draw, a, draw(st.integers(1, 3)))
+
+
+def _sparse_bimodule(draw, a: ClusterAlgebra, md: int) -> Bimodule:
     key = st.tuples(st.sampled_from("lr"), st.sampled_from(a.level.ops),
                     st.integers(0, a.dim - 1), *[st.integers(0, md - 1)] * 2)
     entries = draw(st.dictionaries(key, nonzero_rationals, max_size=3 * md))
-    return a, bimodule_from_entries(int(a.level), a.dim, md,
-                                    [(*k, v) for k, v in entries.items()])
+    return bimodule_from_entries(int(a.level), a.dim, md,
+                                 [(*k, v) for k, v in entries.items()])
 
 
 def _oracle_module_rows(a: ClusterAlgebra, m: Bimodule) -> list:
@@ -178,6 +183,44 @@ def _sparse_grid(draw, rows: int, cols: int) -> Matrix:
                                           max_size=rows * cols)).items():
         buf[i][j] = v
     return Matrix(buf)
+
+
+@st.composite
+def o_operator_inputs(draw) -> tuple[ClusterAlgebra, Bimodule, InterMap]:
+    """A sparse bimodule of a sparse algebra below level 8, on a module of
+    another dimension, with a sparse rectangular map V -> A; or the regular
+    bimodule of a scaled catalog algebra with a scaled catalog
+    Rota-Baxter map, perhaps mutated."""
+    if draw(st.booleans()):
+        a = draw(sparse_algebras(levels=(1, 2, 4)))
+        md = draw(st.integers(1, 4).filter(lambda n: n != a.dim))
+        return a, _sparse_bimodule(draw, a, md), InterMap(_sparse_grid(draw, a.dim, md))
+    base, r = draw(st.sampled_from(MAPS))
+    a = _scaled(base, draw(nonzero_rationals))
+    c = draw(nonzero_rationals)
+    buf = [[0] * a.dim for _ in range(a.dim)]
+    for i, j, v in _mutated(draw, [(i, j, c * v) for i, j, v in r.matrix.nonzero()]):
+        buf[i][j] = v
+    return a, regular_bimodule(a), InterMap(Matrix(buf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(o_operator_inputs())
+def test_o_operator_agrees_with_oracle(case):
+    # ids, witnesses, order and exact discrepancies A-part - T(V-part)
+    a, m, t = case
+    rep = is_o_operator(a, m, t)
+    assert _rows(rep) == oracles.oracle_o_operator(a, m, t.matrix)
+    _assert_reported_exactly(rep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(o_operator_inputs())
+def test_induced_agrees_with_oracle(case):
+    a, m, t = case
+    induced = induced_tensors(a, m, t)
+    assert {op: oracles.nested(x) for op, x in induced.items()} == \
+        oracles.oracle_induced(a, m, t.matrix)
 
 
 # checker, oracle and the ids the oracle's parts evaluate, in order
