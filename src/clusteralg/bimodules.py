@@ -347,13 +347,3 @@ def octo_depth_bimodule(a: ClusterAlgebra) -> tuple[ClusterAlgebra, Bimodule]:
     rmap = {op: tuple(mult_operator(a, op + "1", "right", i) for i in range(d))
             for op in Level.QUADRI.ops}
     return quadri, Bimodule(Level.QUADRI, d, d, lmap, rmap)
-
-
-def apply_action(m: Bimodule, side: str, op: str, xvec: Sequence[Fraction]) -> Matrix:
-    """Action matrix of an arbitrary algebra element x = sum x_i e_i."""
-    maps = m.lmap[op] if side == "l" else m.rmap[op]
-    acc = Matrix.zeros(m.module_dim, m.module_dim)
-    for i, c in enumerate(xvec):
-        if c:
-            acc = acc + maps[i].scale(c)
-    return acc

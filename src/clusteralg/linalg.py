@@ -5,10 +5,10 @@ is no floating point anywhere, so every identity check reduces to an
 exact zero test.  The objects here store ``fractions.Fraction`` entries
 densely, which suits building and transforming desk-scale objects; a
 ``Tensor3`` also keeps the sorted listing of its nonzero entries.  The
-identity checkers and the transported products of the constructions do
-not evaluate in ``Fraction``: they clear each object's denominators once
-(``core.scaled_fibres``, ``Matrix.scaled_cols``) and sum over nonzero
-entries only, on Python ints, which is several times faster and as exact.
+identity checkers and every product a map transports (one contraction,
+``operators._transported``) do not evaluate in ``Fraction``: they clear
+each object's denominators once (``core.scaled_fibres``, ``Matrix.scaled_cols``)
+and sum over nonzero entries only, on Python ints: several times faster, as exact.
 
 Every exact solve (``Matrix.solve`` and ``inverse``, ``solve_consistent``)
 and the rank profile (``row_echelon_pivots``) read one fraction-free

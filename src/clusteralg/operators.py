@@ -6,15 +6,19 @@ A linear map T: V -> A is an O-operator for a bimodule (l, r, V) when
 
 holds for every operation op of the algebra's level, i.e. when the graph
 {(T u, u)} is closed under every operation of the semidirect sum
-A (+) V, which is how ``is_o_operator`` checks it.  The check runs on
-integers: the products use the scaled fibres of A (+) V (common
-denominator D, ``core.scaled_fibres``), the graph vectors are scaled by
-T's common denominator D_T, so each defect is D D_T^3 times the rational
-one and only a reported discrepancy is divided back.  Rota-Baxter
+A (+) V, which is how ``is_o_operator`` checks it.  Rota-Baxter
 operators (weight 0) are the special case of the regular bimodule, and
 every O-operator transplants the algebra structure to V with twice as
 many operations; an invertible O-operator transports that structure
 back onto A itself, compatibly with the original product.
+
+Every product carried along a map is one integer contraction,
+``_transported``: x o y = out(op(left x, right y)) from op's scaled fibres
+(``core.scaled_fibres``), with the maps as scaled integer columns
+(``Matrix.scaled_cols``), divided back only when reported or stored.  The
+graph test, the homomorphism test, induction (the actions read off the
+fibres of A (+) V), the Rota-Baxter pair and triple and the conjugation
+by an invertible T differ only in their maps.
 
 Inducing operations re-verify their output by default (post-verification
 is cheap at these dimensions and catches violated preconditions); pass
@@ -24,10 +28,10 @@ verify=False to skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
+from typing import Iterable
 
-from .bimodules import (Bimodule, PreconditionFailed, apply_action,
-                        regular_bimodule, semidirect_sum)
+from .bimodules import Bimodule, PreconditionFailed, regular_bimodule, semidirect_sum
 from .core import (PROJECTIONS, ClusterAlgebra, Fibres, Level, LevelError, Report,
                    Violation, check_axioms, project, scaled_fibres)
 from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3
@@ -74,8 +78,52 @@ class InterMap:
     def __call__(self, vec) -> tuple[Fraction, ...]:
         return self.matrix.apply(vec)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return self.matrix.col(j)
+
+# A linear map as ``Matrix.scaled_cols`` gives it: a denominator D and D
+# times the map as sparse integer columns, column c listing (row, value).
+Scaled = tuple[int, list[list[tuple[int, int]]]]
+
+
+def _units(rows: Iterable[int]) -> Scaled:
+    """The map whose column c is e_rows[c]: an identity or an inclusion."""
+    return 1, [[(r, 1)] for r in rows]
+
+
+def _transported(den: int, fib: Fibres, left: Scaled, right: Scaled, out: Scaled,
+                 n: int) -> tuple[dict[tuple[int, int], list[int]], int]:
+    """x o y = out(op(left x, right y)) on basis vectors, from op's fibres
+    scaled by den (``scaled_fibres``), for maps left, right into op's space
+    and out from it into an n-dimensional one.  Returns the nonzero rows
+    (i, j) -> den D_l D_r D_out (e_i o e_j) in pair order, on integers, and
+    that divisor."""
+    (den_l, lcols), (den_r, rcols), (den_o, ocols) = left, right, out
+    rows = {}
+    for i, x in enumerate(lcols):
+        for j, y in enumerate(rcols):
+            p: dict[int, int] = {}  # den D_l D_r op(left x, right y)
+            for (s, sv), (t, tv) in product(x, y):
+                if fibre := fib.get((s, t)):
+                    c = sv * tv
+                    for m, v in fibre:
+                        p[m] = p.get(m, 0) + c * v
+            if not p:
+                continue
+            q = [0] * n
+            for m, v in p.items():
+                for k, ov in ocols[m]:
+                    q[k] += v * ov
+            if any(q):
+                rows[i, j] = q
+    return rows, den * den_l * den_r * den_o
+
+
+def _tensor(den: int, fib: Fibres, left: Scaled, right: Scaled, out: Scaled,
+            n: int) -> Tensor3:
+    """The structure constants of ``_transported``'s product, in Fraction."""
+    rows, divisor = _transported(den, fib, left, right, out, n)
+    return Tensor3.from_entries((len(left[1]), len(right[1]), n), [
+        (i, j, k, Fraction(v, divisor)) for (i, j), row in rows.items()
+        for k, v in enumerate(row) if v])
 
 
 # Identity ids for the per-operation O-operator conditions.
@@ -98,33 +146,19 @@ def is_o_operator(a: ClusterAlgebra, m: Bimodule, t: InterMap) -> Report:
         raise LevelError("algebra and bimodule levels differ")
     if a.dim != m.algebra_dim or t.target_dim != a.dim or t.source_dim != m.module_dim:
         raise DimensionMismatch("map does not fit the algebra/bimodule pair")
-    s = semidirect_sum(a, m, check=False)
-    d, md = a.dim, m.module_dim
-    den, fibres = scaled_fibres(s, a.level.ops)
-    # D_T times T, as sparse integer columns; graph[u] is D_T (T v_u, v_u)
+    d = a.dim
+    den, fibres = scaled_fibres(semidirect_sum(a, m, check=False), a.level.ops)
     den_t, cols = t.matrix.scaled_cols()
-    graph = [cols[u] + [(d + u, den_t)] for u in range(md)]
-    divisor = den * den_t ** 3
+    # u -> (T v_u, v_u), and (x, v) -> x - T(v) on A (+) V, each times D_T
+    graph = den_t, [col + [(d + u, den_t)] for u, col in enumerate(cols)]
+    defect = den_t, ([[(k, den_t)] for k in range(d)]
+                     + [[(r, -v) for r, v in col] for col in cols])
     ids = _O_IDENTITY_IDS[int(a.level)]
     violations = []
     for op in a.level.ops:
-        fib = fibres[op]
-        for i, gi in enumerate(graph):
-            for j, gj in enumerate(graph):
-                # p is D D_T^2 (g_i op g_j); diff is D D_T^3 (A-part - T(V-part))
-                p = [0] * (d + md)
-                for (x, xv), (y, yv) in product(gi, gj):
-                    xy = xv * yv
-                    for k, c in fib.get((x, y), ()):
-                        p[k] += xy * c
-                diff = [den_t * v for v in p[:d]]
-                for u, v in enumerate(p[d:]):
-                    if v:
-                        for r, tv in cols[u]:
-                            diff[r] -= tv * v
-                if any(diff):
-                    violations.append(Violation(ids[op], (i, j), tuple(
-                        Fraction(v, divisor) for v in diff)))
+        rows, divisor = _transported(den, fibres[op], graph, graph, defect, d)
+        violations.extend(Violation(ids[op], ij, tuple(Fraction(v, divisor) for v in row))
+                          for ij, row in rows.items())
     return Report(tuple(violations))
 
 
@@ -160,18 +194,24 @@ _CANONICAL_COARSER = {2: "Assoc", 4: "HorizDend", 8: "DepthQuadri"}
 def induced_tensors(a: ClusterAlgebra, m: Bimodule,
                     t: InterMap) -> dict[str, Tensor3]:
     """Structure constants of the doubled-level product on the module."""
-    md = m.module_dim
-    out: dict[str, Tensor3] = {}
-    for new_op, (side, op) in _INDUCTION[int(a.level)].items():
-        entries = []
-        for u in range(md):
-            # column w of the action of T(v_u) is v_u NEW v_w ("l") or
-            # v_w NEW v_u ("r")
-            act = apply_action(m, side, op, t.column(u))
-            entries.extend((u, w, k, v) if side == "l" else (w, u, k, v)
-                           for k, w, v in act.nonzero())
-        out[new_op] = Tensor3.from_entries((md, md, md), entries)
-    return out
+    d, md = a.dim, m.module_dim
+    return _induced(a, m, t.matrix.scaled_cols(), _units(range(d, d + md)),
+                    _units(range(md)), md)
+
+
+def _induced(a: ClusterAlgebra, m: Bimodule, t: Scaled, inc: Scaled,
+             out: Scaled, n: int) -> dict[str, Tensor3]:
+    """Per operation of the finer level, x NEW y = out(l_op(T x) inc y) or
+    out(r_op(T y) inc x) as ``_INDUCTION`` says, read off the fibres of
+    A (+) V as op(T x, inc y) or op(inc x, T y) projected to V.  T maps
+    into A and inc into V, both as coordinates of A (+) V; out maps V into
+    an n-dimensional space."""
+    den, fibres = scaled_fibres(semidirect_sum(a, m, check=False), a.level.ops)
+    den_o, ocols = out
+    after = den_o, [[]] * a.dim + ocols  # out after the projection to V
+    return {new: _tensor(den, fibres[op], *((t, inc) if side == "l" else (inc, t)),
+                         after, n)
+            for new, (side, op) in _INDUCTION[int(a.level)].items()}
 
 
 def induce_on_module(a: ClusterAlgebra, m: Bimodule, t: InterMap,
@@ -202,36 +242,29 @@ def homomorphism_report(finer: ClusterAlgebra, a: ClusterAlgebra,
                         t: InterMap) -> Report:
     """Check T(u coarse-op v) = T(u) op T(v) on all basis pairs, where
     coarse-op runs over the canonical projection of the finer algebra
-    matching a's level.  On integers, with D_f, D_a and D_T the common
-    denominators of finer, a and T: D_a D_T times D_f D_T T(u coarse-op v)
-    minus D_f times D_a D_T^2 T(u) op T(v) is D_f D_a D_T^2 times the
-    defect, which is divided back only when reported."""
+    matching a's level.  Both sides are products transported on integers:
+    T(u coarse-op v) through (id, id, T) on finer's fibres and T(u) op T(v)
+    through (T, T, id) on a's; each is cross-multiplied by the other's
+    divisor, and a defect is divided back only when reported."""
     level = int(finer.level)
     coarse = PROJECTIONS[(level, _CANONICAL_COARSER[level])]
     if level // 2 != int(a.level):
         raise LevelError("homomorphism target level mismatch")
     if t.source_dim != finer.dim or t.target_dim != a.dim:
         raise DimensionMismatch("map does not fit the two algebras")
-    den_f, src_fibres = scaled_fibres(finer, coarse.values())
-    den_a, dst_fibres = scaled_fibres(a, a.level.ops)
-    den_t, cols = t.matrix.scaled_cols()
-    divisor = den_f * den_a * den_t ** 2
+    den_f, src = scaled_fibres(finer, coarse.values())
+    den_a, dst = scaled_fibres(a, a.level.ops)
+    tmap, one_f, one_a = t.matrix.scaled_cols(), _units(range(finer.dim)), _units(range(a.dim))
+    zero = [0] * a.dim
     violations = []
     for op in a.level.ops:
-        src, dst = src_fibres[coarse[op]], dst_fibres[op]
-        for i, j in product(range(finer.dim), repeat=2):
-            diff = [0] * a.dim
-            for k, c in src.get((i, j), ()):
-                c *= den_a * den_t
-                for r, tv in cols[k]:
-                    diff[r] += c * tv
-            for (x, xv), (y, yv) in product(cols[i], cols[j]):
-                c = den_f * xv * yv
-                for k, v in dst.get((x, y), ()):
-                    diff[k] -= c * v
+        lhs, dl = _transported(den_f, src[coarse[op]], one_f, one_f, tmap, a.dim)
+        rhs, dr = _transported(den_a, dst[op], tmap, tmap, one_a, a.dim)
+        for ij in sorted(lhs.keys() | rhs.keys()):
+            diff = [x * dr - y * dl for x, y in zip(lhs.get(ij, zero), rhs.get(ij, zero))]
             if any(diff):
-                violations.append(Violation(f"hom-{op}", (i, j), tuple(
-                    Fraction(v, divisor) for v in diff)))
+                violations.append(Violation(f"hom-{op}", ij, tuple(
+                    Fraction(v, dl * dr) for v in diff)))
     return Report(tuple(violations))
 
 
@@ -253,46 +286,22 @@ def _require_rb(a: ClusterAlgebra, r: InterMap, name: str) -> None:
         raise NotRotaBaxter(f"{name} is not a Rota-Baxter operator", rep)
 
 
-def _require_commuting(*mats: Matrix) -> None:
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mats[i] @ mats[j] != mats[j] @ mats[i]:
-                raise NotCommuting(f"operators {i + 1} and {j + 1} do not commute")
+def _require_commuting(*mats: Matrix) -> dict[tuple[int, int], Matrix]:
+    """mats[i] @ mats[j] for i < j, each checked equal to mats[j] @ mats[i]."""
+    products = {}
+    for i, j in combinations(range(len(mats)), 2):
+        products[i, j] = mats[i] @ mats[j]
+        if products[i, j] != mats[j] @ mats[i]:
+            raise NotCommuting(f"operators {i + 1} and {j + 1} do not commute")
+    return products
 
 
-def _transported(den: int, fib: Fibres, left, right, out) -> Tensor3:
-    """Structure constants of x o y = out(op(left x, right y)) for square
-    maps given as ``Matrix.scaled_cols``, from op's fibres scaled by den
-    (``scaled_fibres``).  On integers every entry is den D_l D_r D_out
-    times the rational one, and is divided back by that."""
-    (den_l, lcols), (den_r, rcols), (den_o, ocols) = left, right, out
-    d = len(ocols)
-    divisor = den * den_l * den_r * den_o
-    entries = []
-    for i, x in enumerate(lcols):
-        for j, y in enumerate(rcols):
-            p = [0] * d  # den D_l D_r op(left x, right y)
-            for (s, sv), (t, tv) in product(x, y):
-                c = sv * tv
-                for m, v in fib.get((s, t), ()):
-                    p[m] += c * v
-            q = [0] * d
-            for m, v in enumerate(p):
-                if v:
-                    for k, ov in ocols[m]:
-                        q[k] += v * ov
-            entries.extend((i, j, k, Fraction(v, divisor)) for k, v in enumerate(q) if v)
-    return Tensor3.from_entries((d, d, d), entries)
-
-
-def _pair_tensors(a: ClusterAlgebra, maps: dict[str, tuple[Matrix, Matrix]]
+def _pair_tensors(a: ClusterAlgebra, maps: dict[str, tuple[Scaled, Scaled]]
                   ) -> dict[str, Tensor3]:
     """Per name, the structure constants of x o y = left(x) * right(y) on a
     level-1 algebra, with (left, right) = maps[name]."""
     den, fibres = scaled_fibres(a, ("star",))
-    one = Matrix.identity(a.dim).scaled_cols()
-    return {name: _transported(den, fibres["star"], left.scaled_cols(),
-                               right.scaled_cols(), one)
+    return {name: _tensor(den, fibres["star"], left, right, _units(range(a.dim)), a.dim)
             for name, (left, right) in maps.items()}
 
 
@@ -307,11 +316,11 @@ def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
         raise LevelError("pair construction starts from a level-1 algebra")
     _require_rb(a, r1, "r1")
     _require_rb(a, r2, "r2")
-    _require_commuting(r1.matrix, r2.matrix)
-    m1, m2, one = r1.matrix, r2.matrix, Matrix.identity(a.dim)
-    m12 = m1 @ m2
-    sc = _pair_tensors(a, {"se": (m12, one), "ne": (m1, m2),
-                           "sw": (m2, m1), "nw": (one, m12)})
+    m12 = _require_commuting(r1.matrix, r2.matrix)[0, 1]
+    s1, s2, s12 = (m.scaled_cols() for m in (r1.matrix, r2.matrix, m12))
+    one = _units(range(a.dim))
+    sc = _pair_tensors(a, {"se": (s12, one), "ne": (s1, s2),
+                           "sw": (s2, s1), "nw": (one, s12)})
     out = ClusterAlgebra(Level.QUADRI, a.dim, sc)
     if verify:
         rep = check_axioms(out)
@@ -333,13 +342,16 @@ def rb_triple_octo(a: ClusterAlgebra, r1: InterMap, r2: InterMap, r3: InterMap,
         raise LevelError("triple construction starts from a level-1 algebra")
     for name, r in (("r1", r1), ("r2", r2), ("r3", r3)):
         _require_rb(a, r, name)
-    _require_commuting(r1.matrix, r2.matrix, r3.matrix)
-    m1, m2, m3, one = r1.matrix, r2.matrix, r3.matrix, Matrix.identity(a.dim)
+    products = _require_commuting(r1.matrix, r2.matrix, r3.matrix)
+    s1, s2, s3, s12, s13, s23, s123 = (m.scaled_cols() for m in (
+        r1.matrix, r2.matrix, r3.matrix, products[0, 1], products[0, 2],
+        products[1, 2], products[0, 1] @ r3.matrix))
+    one = _units(range(a.dim))
     sc = _pair_tensors(a, {
-        "se1": (m2 @ m3, m1), "se2": (m1 @ m2 @ m3, one),
-        "ne1": (m2, m1 @ m3), "ne2": (m1 @ m2, m3),
-        "sw1": (m3, m1 @ m2), "sw2": (m1 @ m3, m2),
-        "nw1": (one, m1 @ m2 @ m3), "nw2": (m1, m2 @ m3),
+        "se1": (s23, s1), "se2": (s123, one),
+        "ne1": (s2, s13), "ne2": (s12, s3),
+        "sw1": (s3, s12), "sw2": (s13, s2),
+        "nw1": (one, s123), "nw2": (s1, s23),
     })
     out = ClusterAlgebra(Level.OCTO, a.dim, sc)
     if verify:
@@ -364,14 +376,13 @@ def compatible_from_invertible(a: ClusterAlgebra, m: Bimodule, t: InterMap,
         rep = is_o_operator(a, m, t)
         if not rep.ok:
             raise PreconditionFailed("map is not an O-operator", rep)
-    tinv = t.matrix.inverse()  # raises Singular when not invertible
-    induced = induced_tensors(a, m, t)
-    level = Level.of(2 * int(a.level))
-    # x op y = T(T^-1 x op_induced T^-1 y) on A
-    den, fibres = scaled_fibres(ClusterAlgebra(level, m.module_dim, induced), level.ops)
-    inv, fwd = tinv.scaled_cols(), t.matrix.scaled_cols()
-    sc = {op: _transported(den, fib, inv, inv, fwd) for op, fib in fibres.items()}
-    out = ClusterAlgebra(level, a.dim, sc)
+    den_i, inv = t.matrix.inverse().scaled_cols()  # raises Singular when not invertible
+    d = a.dim
+    # x op y = T(T^-1 x NEW T^-1 y), which is T(l_op(x) T^-1 y) or
+    # T(r_op(y) T^-1 x): the induction with id in place of T and T^-1 into V
+    out = ClusterAlgebra(Level.of(2 * int(a.level)), d, _induced(
+        a, m, _units(range(d)), (den_i, [[(d + r, v) for r, v in col] for col in inv]),
+        t.matrix.scaled_cols(), d))
     if verify:
         rep = check_axioms(out)
         if not rep.ok:

@@ -34,15 +34,15 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .bimodules import (Bimodule, PreconditionFailed, apply_action,
+from .bimodules import (Bimodule, PreconditionFailed, bimodule_from_entries,
                         dual_bimodule, octo_depth_bimodule, regular_bimodule,
                         restrict_bimodule, semidirect_sum)
 from .core import (ClusterAlgebra, Level, LevelError, Report, Violation,
                    check_axioms, project, scaled_fibres)
 from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3,
                      row_echelon_pivots, solve_consistent)
-from .operators import (_CANONICAL_COARSER, InterMap, VerificationFailed,
-                        induced_tensors, is_o_operator)
+from .operators import (_CANONICAL_COARSER, _INDUCTION, InterMap, VerificationFailed,
+                        _induced, _units, induced_tensors, is_o_operator)
 
 
 @dataclass(frozen=True)
@@ -342,13 +342,9 @@ class LiftResult:
 
 def embed_map_tensor(t: InterMap, sign: int) -> Tensor2:
     """T -/+ sigma(T) as an element of (A (+) V*) (x) (A (+) V*)."""
-    d, md = t.target_dim, t.source_dim
-    n = d + md
-    entries = []
-    for j, i, v in t.matrix.nonzero():
-        entries.append((j, d + i, v))
-        entries.append((d + i, j, sign * v))
-    return Tensor2.from_entries(n, entries)
+    d = t.target_dim
+    return Tensor2.from_entries(d + t.source_dim, [
+        e for j, i, v in t.matrix.nonzero() for e in ((j, d + i, v), (d + i, j, sign * v))])
 
 
 def lift_o_operator(a: ClusterAlgebra, m: Bimodule, t: InterMap,
@@ -434,23 +430,21 @@ def image_double_solution(a: ClusterAlgebra, m: Bimodule,
     if not pivots:
         raise ValueError("image lift needs a map of positive rank: the zero "
                          "map has no image to lift into")
-    w = Matrix.from_cols([t.column(c) for c in pivots])  # basis of T(V)
-    k = len(pivots)
+    d, md, k = a.dim, m.module_dim, len(pivots)
+    w = Matrix.from_cols([t.matrix.col(c) for c in pivots])  # basis of T(V)
     # T = w s, so T(fibre) has the coordinates s(fibre) in the basis w
-    s = Matrix.from_cols([solve_consistent(w, t.column(j))
-                          for j in range(m.module_dim)])
-    sc = {}
-    for op, tensor in induced_tensors(a, m, t).items():
-        sc[op] = Tensor3.from_entries((k, k, k), [
-            (alpha, beta, kk, v) for alpha, p in enumerate(pivots)
-            for beta, q in enumerate(pivots)
-            for kk, v in enumerate(s.apply(tensor.fibre(p, q))) if v])
-    image = ClusterAlgebra(Level.of(2 * level), k, sc)
-    pulled = Bimodule(m.level, k, m.module_dim,
-                      {op: tuple(apply_action(m, "l", op, w.col(al)) for al in range(k))
-                       for op in m.level.ops},
-                      {op: tuple(apply_action(m, "r", op, w.col(al)) for al in range(k))
-                       for op in m.level.ops})
+    s = Matrix.from_cols([solve_consistent(w, t.matrix.col(j)) for j in range(md)])
+    den_t, cols = t.matrix.scaled_cols()
+    wmap = den_t, [cols[c] for c in pivots]
+    # the finer product of v_p and v_q for pivots p, q, in the basis w
+    image = ClusterAlgebra(Level.of(2 * level), k, _induced(
+        a, m, wmap, _units(d + c for c in pivots), s.scaled_cols(), k))
+    # l_op(w_al) and r_op(w_al): the induction with w in place of T
+    acts = _induced(a, m, wmap, _units(range(d, d + md)), _units(range(md)), md)
+    pulled = bimodule_from_entries(level, k, md, [
+        (side, op, *((p, r, q) if side == "l" else (q, r, p)), v)
+        for new, (side, op) in _INDUCTION[level].items()
+        for p, q, r, v in acts[new].nonzero()])
     _, module = restrict_bimodule(image, pulled,
                                   "embed-assoc" if level == 1 else "embed-dend")
     return lift_o_operator(image, module, InterMap(s),
