@@ -328,17 +328,18 @@ def parse_bundle(doc: dict) -> Bundle:
             try:
                 checked[section][name] = check(obj, literals)
             except BundleError as exc:
-                raise BundleError(f"{section}/{name}: {exc}") from None
+                raise BundleError(f"{section}/{shown(name, str)}: {exc}") from None
             except Exception as exc:
-                raise BundleError(f"{section}/{name}: bad {what} object: {exc}") from None
+                raise BundleError(f"{section}/{shown(name, str)}: bad {what} object: "
+                                  f"{exc}") from None
             obj_refs = {k: obj[k] for k in ref_keys if k in obj}
             if obj_refs:
                 refs[(section, name)] = obj_refs
     for (section, name), obj_refs in refs.items():
         for key, target in obj_refs.items():
             if not isinstance(target, str) or target not in checked[_REF_SECTION[key]]:
-                raise BundleError(f"{section}/{name}: reference {key}={shown(target)} "
-                                  "does not resolve")
+                raise BundleError(f"{section}/{shown(name, str)}: reference "
+                                  f"{key}={shown(target)} does not resolve")
     return Bundle(**{s: Section(_KINDS[s][3], checked[s]) for s in SECTIONS},
                   refs=refs, raw=doc)
 
@@ -360,7 +361,9 @@ def load_bundle(path: str | Path) -> Bundle:
         raise BundleError(f"cannot read bundle: {exc}") from exc
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except BundleError:
+        raise
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise BundleError(f"bundle is not valid JSON: {exc}") from exc
     except RecursionError:
         raise BundleError("bundle nests too deeply to parse") from None

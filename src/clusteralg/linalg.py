@@ -52,10 +52,10 @@ def rat(value) -> Fraction:
 _SHOWN = 64
 
 
-def shown(value) -> str:
-    """repr(value) for an error message: whole up to _SHOWN characters,
+def shown(value, show: Callable[[object], str] = repr) -> str:
+    """show(value) for an error message: whole up to _SHOWN characters,
     cut short after that, so an oversized input is not echoed back."""
-    text = repr(value)
+    text = show(value)
     if len(text) <= _SHOWN:
         return text
     return f"{text[:_SHOWN]}... ({len(text)} characters)"

@@ -425,23 +425,50 @@ REFUSED_DOCUMENTS = {
 }
 
 
+SOURCES = ("bundle", "derive-out", "catalog-override")
+
+
+def _reading(source: str, path: Path, catalog_path: Path, monkeypatch) -> tuple:
+    """Arguments that read path, a file named catalog.json, as a BUNDLE
+    argument, as an existing derive --out file or through the
+    CLUSTERALG_CATALOG override."""
+    if source == "bundle":
+        return ("check", str(path), "a")
+    if source == "derive-out":
+        return ("derive", str(catalog_path), "project", "dend_from_int3", "Assoc",
+                "--out", str(path))
+    monkeypatch.setenv("CLUSTERALG_CATALOG", str(path.parent))
+    return ("check", "catalog", "a")
+
+
 @pytest.mark.parametrize("case", sorted(REFUSED_DOCUMENTS))
-@pytest.mark.parametrize("source", ("bundle", "derive-out", "catalog-override"))
+@pytest.mark.parametrize("source", SOURCES)
 def test_deep_or_repeated_key_bundle_exit_two(capsys, tmp_path, monkeypatch,
                                               catalog_path, case, source):
     text, message = REFUSED_DOCUMENTS[case]
     path = tmp_path / "catalog.json"
     path.write_text(text, encoding="utf-8")
-    if source == "bundle":
-        argv = ("check", str(path), "a")
-    elif source == "derive-out":
-        argv = ("derive", str(catalog_path), "project", "dend_from_int3", "Assoc",
-                "--out", str(path))
-    else:
-        monkeypatch.setenv("CLUSTERALG_CATALOG", str(tmp_path))
-        argv = ("check", "catalog", "a")
+    argv = _reading(source, path, catalog_path, monkeypatch)
     assert run(capsys, *argv) == (2, "", message)
     assert path.read_text(encoding="utf-8") == text  # left as it was
+
+
+# A JSON integer longer than the interpreter converts to a string (4,300
+# digits by default): json.loads raises a plain ValueError for it.
+HUGE_INTEGER = ('{"field": "Q", "algebras": {"a": {"level": 1, "dim": %s, "sc": []}}}'
+                % ("9" * 5000))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_huge_integer_is_refused_as_json(capsys, tmp_path, monkeypatch, catalog_path,
+                                         source):
+    path = tmp_path / "catalog.json"
+    path.write_text(HUGE_INTEGER, encoding="utf-8")
+    code, out, err = run(capsys, *_reading(source, path, catalog_path, monkeypatch))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bundle is not valid JSON: Exceeds the limit"), err
+    assert len(err.encode("utf-8")) < 300
+    assert path.read_text(encoding="utf-8") == HUGE_INTEGER  # left as it was
 
 
 # Documents whose offending value is too long to echo whole: the error
@@ -468,3 +495,17 @@ def test_oversized_value_is_cut_short(capsys, tmp_path, case):
     code, out, err = run(capsys, "check", str(path), "a")
     assert (code, out) == (2, "")
     assert err.startswith(start) and len(err.encode("utf-8")) < 300, err[:400]
+
+
+@pytest.mark.parametrize("length", (64, 65, 5000))
+def test_long_object_name_is_cut_short(capsys, tmp_path, length):
+    # a name of up to 64 characters prints whole, a longer one cut short
+    # with its length
+    name = "n" * length
+    doc = {"field": "Q", "algebras": {name: {"level": 3, "dim": 1, "sc": []}}}
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    shown = name if length <= 64 else f"{'n' * 64}... ({length} characters)"
+    assert run(capsys, "check", str(path), "a") == (2, "", (
+        f"error: algebras/{shown}: bad algebra object: level must be one of "
+        "1, 2, 4, 8, got 3\n"))
