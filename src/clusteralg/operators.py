@@ -12,13 +12,10 @@ every O-operator transplants the algebra structure to V with twice as
 many operations; an invertible O-operator transports that structure
 back onto A itself, compatibly with the original product.
 
-Every product carried along a map is one integer contraction,
-``_transported``: x o y = out(op(left x, right y)) from op's scaled fibres
-(``core.scaled_fibres``), with the maps as scaled integer columns
-(``Matrix.scaled_cols``), divided back only when reported or stored.  The
-graph test, the homomorphism test, induction (the actions read off the
-fibres of A (+) V), the Rota-Baxter pair and triple and the conjugation
-by an invertible T differ only in their maps.
+The graph test, the homomorphism test, induction, the Rota-Baxter pair
+and triple and the conjugation by an invertible T carry products along
+maps, and each is one integer contraction, ``_transported``, with its
+own maps; a result is divided back only when reported or stored.
 
 Inducing operations re-verify their output by default (post-verification
 is cheap at these dimensions and catches violated preconditions); pass

@@ -342,9 +342,13 @@ class LiftResult:
 
 def embed_map_tensor(t: InterMap, sign: int) -> Tensor2:
     """T -/+ sigma(T) as an element of (A (+) V*) (x) (A (+) V*)."""
-    d = t.target_dim
-    return Tensor2.from_entries(d + t.source_dim, [
-        e for j, i, v in t.matrix.nonzero() for e in ((j, d + i, v), (d + i, j, sign * v))])
+    d, md = t.target_dim, t.source_dim
+    n = d + md
+    entries = []
+    for j, i, v in t.matrix.nonzero():
+        entries.append((j, d + i, v))
+        entries.append((d + i, j, sign * v))
+    return Tensor2.from_entries(n, entries)
 
 
 def lift_o_operator(a: ClusterAlgebra, m: Bimodule, t: InterMap,
