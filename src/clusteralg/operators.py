@@ -204,8 +204,7 @@ def _induced(a: ClusterAlgebra, m: Bimodule, t: Scaled, inc: Scaled,
     into A and inc into V, both as coordinates of A (+) V; out maps V into
     an n-dimensional space."""
     den, fibres = scaled_fibres(semidirect_sum(a, m, check=False), a.level.ops)
-    den_o, ocols = out
-    after = den_o, [[]] * a.dim + ocols  # out after the projection to V
+    after = out[0], [[]] * a.dim + out[1]  # out after the projection to V
     return {new: _tensor(den, fibres[op], *((t, inc) if side == "l" else (inc, t)),
                          after, n)
             for new, (side, op) in _INDUCTION[int(a.level)].items()}
@@ -298,7 +297,8 @@ def _pair_tensors(a: ClusterAlgebra, maps: dict[str, tuple[Scaled, Scaled]]
     """Per name, the structure constants of x o y = left(x) * right(y) on a
     level-1 algebra, with (left, right) = maps[name]."""
     den, fibres = scaled_fibres(a, ("star",))
-    return {name: _tensor(den, fibres["star"], left, right, _units(range(a.dim)), a.dim)
+    one = _units(range(a.dim))
+    return {name: _tensor(den, fibres["star"], left, right, one, a.dim)
             for name, (left, right) in maps.items()}
 
 
