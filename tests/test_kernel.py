@@ -8,7 +8,10 @@ these properties feed them constants with coprime and large prime
 denominators and compare every verdict, the axiom, bimodule,
 O-operator, homomorphism and form reports row by row, and the induced
 structure constants entry by entry, with the brute-force oracles in
-tests/oracles.py.
+tests/oracles.py.  The sparse strategies draw a few entries per object;
+the dense ones (``dense_algebras`` and the inputs built on it) fill every
+fibre, with numerators up to 2^40, so that each checker's dense path is
+compared with the oracles as well.
 """
 
 from fractions import Fraction
@@ -221,6 +224,206 @@ def test_induced_agrees_with_oracle(case):
     induced = induced_tensors(a, m, t)
     assert {op: oracles.nested(x) for op, x in induced.items()} == \
         oracles.oracle_induced(a, m, t.matrix)
+
+
+# ---------------------------------------------------------------------------
+# dense inputs: every fibre holds many nonzeros, so the checkers take their
+# dense path; random constants fail, constants in a dense basis pass
+
+big_rationals = st.builds(
+    Fraction, st.integers(-2**40, 2**40).filter(bool), st.sampled_from(DENOMINATORS))
+# the largest dimension drawn per level
+DENSE_DIMS = {1: 4, 2: 4, 4: 4, 8: 3}
+
+
+def _dense_values(draw, count: int) -> iter:
+    return iter(draw(st.lists(big_rationals, min_size=count, max_size=count)))
+
+
+def _dense_random(draw, level: int, d: int) -> ClusterAlgebra:
+    values = _dense_values(draw, len(Level(level).ops) * d ** 3)
+    return algebra_from_entries(level, d, [
+        (op, i, j, k, next(values)) for op in Level(level).ops
+        for i in range(d) for j in range(d) for k in range(d)])
+
+
+def _dense_basis(draw, d: int) -> tuple[Matrix, Matrix]:
+    """P = L U, L unit lower and U upper triangular with a nonzero diagonal,
+    every other entry of both drawn nonzero: dense and invertible; and P^-1."""
+    lower = [[draw(nonzero_rationals) if j < i else int(i == j) for j in range(d)]
+             for i in range(d)]
+    upper = [[draw(nonzero_rationals) if j >= i else 0 for j in range(d)]
+             for i in range(d)]
+    p = Matrix(lower) @ Matrix(upper)
+    return p, p.inverse()
+
+
+def _rebased(a: ClusterAlgebra, p: Matrix, q: Matrix, c: Fraction) -> ClusterAlgebra:
+    """c times a's constants in the basis f_i = sum_x p[x, i] e_x (q = p^-1):
+    an algebra of a's kind exactly when a is."""
+    d = a.dim
+    buf = {}
+    for op, x, y, z, v in algebra_entries(a):
+        for i in range(d):
+            for j in range(d):
+                pv = c * p[x, i] * p[y, j] * v
+                for k in range(d):
+                    key = (op, i, j, k)
+                    buf[key] = buf.get(key, 0) + pv * q[k, z]
+    return algebra_from_entries(int(a.level), d, [(*key, v) for key, v in buf.items() if v])
+
+
+def _dense_catalog(draw, bases: list) -> ClusterAlgebra:
+    """One of the catalog algebras bases in a dense basis, scaled."""
+    base = draw(st.sampled_from(bases))
+    return _rebased(base, *_dense_basis(draw, base.dim), draw(big_rationals))
+
+
+def _nonzero_catalog(level: int, dim: int) -> list:
+    return [a for a in ALGEBRAS if int(a.level) == level and a.dim <= dim
+            and algebra_entries(a)]
+
+
+@st.composite
+def dense_algebras(draw, levels=(1, 2, 4, 8)) -> ClusterAlgebra:
+    """Every structure constant nonzero, numerators up to 2^40 over
+    DENOMINATORS; or a nonzero catalog algebra in a dense basis, scaled (no
+    level-8 one is small enough); either perhaps with one entry mutated."""
+    level = draw(st.sampled_from(levels))
+    bases = _nonzero_catalog(level, DENSE_DIMS[level])
+    if bases and draw(st.booleans()):
+        a = _dense_catalog(draw, bases)
+    else:
+        a = _dense_random(draw, level, draw(st.integers(2, DENSE_DIMS[level])))
+    return algebra_from_entries(level, a.dim, _mutated(draw, algebra_entries(a)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_algebras())
+def test_dense_axiom_report_agrees_with_oracle(a):
+    rep = check_axioms(a)
+    assert _rows(rep) == oracles.oracle_axiom_report(a, AXIOMS[int(a.level)])
+    _assert_reported_exactly(rep)
+
+
+def _conjugated(m: Bimodule, pad: int, s: Matrix, t: Matrix) -> Bimodule:
+    """m on V (+) K^pad, K acted on by zero, in the basis of V (+) K^pad
+    given by s (t = s^-1): a bimodule exactly when m is."""
+    md = m.module_dim + pad
+
+    def moved(mat: Matrix) -> Matrix:
+        grid = [[mat[r, c] if r < m.module_dim and c < m.module_dim else 0
+                 for c in range(md)] for r in range(md)]
+        return t @ Matrix(grid) @ s
+
+    return Bimodule(m.level, m.algebra_dim, md,
+                    {op: tuple(map(moved, mats)) for op, mats in m.lmap.items()},
+                    {op: tuple(map(moved, mats)) for op, mats in m.rmap.items()})
+
+
+@st.composite
+def dense_bimodule_inputs(draw) -> tuple[ClusterAlgebra, Bimodule]:
+    """A dense random bimodule of a dense random algebra, on a module of any
+    dimension; or the regular bimodule of a dense-basis catalog algebra
+    (``_dense_catalog``),
+    perhaps padded by a zero summand, in a dense module basis; either
+    perhaps with one entry mutated."""
+    level = draw(st.sampled_from((1, 2, 4)))
+    small = 2 if level == 4 else 3  # the oracle reads every triple of A (+) V
+    if draw(st.booleans()):
+        a = _dense_random(draw, level, draw(st.integers(2, small)))
+        md = draw(st.integers(1, small))
+        values = _dense_values(draw, 2 * len(a.level.ops) * a.dim * md * md)
+        m = bimodule_from_entries(int(a.level), a.dim, md, [
+            (side, op, i, r, c, next(values)) for side in "lr" for op in a.level.ops
+            for i in range(a.dim) for r in range(md) for c in range(md)])
+    else:
+        a = _dense_catalog(draw, _nonzero_catalog(level, 3))
+        pad = draw(st.integers(0, small - 2))
+        m = _conjugated(regular_bimodule(a), pad, *_dense_basis(draw, a.dim + pad))
+    return a, bimodule_from_entries(int(a.level), a.dim, m.module_dim,
+                                    _mutated(draw, bimodule_entries(m)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(dense_bimodule_inputs())
+def test_dense_bimodules_agree_with_oracle(case):
+    a, m = case
+    rep = check_bimodule(a, m)
+    assert _rows(rep) == _oracle_module_rows(a, m)
+    _assert_reported_exactly(rep)
+
+
+def _dense_grid(draw, rows: int, cols: int) -> Matrix:
+    values = _dense_values(draw, rows * cols)
+    return Matrix([[next(values) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def dense_map_inputs(draw) -> tuple[ClusterAlgebra, InterMap]:
+    """A catalog Rota-Baxter map with its algebra, both in one dense basis
+    and each scaled by its own factor, the map perhaps mutated."""
+    base, r = draw(st.sampled_from(MAPS))
+    p, q = _dense_basis(draw, base.dim)
+    a = _rebased(base, p, q, draw(big_rationals))
+    moved = (q @ r.matrix @ p).scale(draw(big_rationals))
+    buf = [[0] * a.dim for _ in range(a.dim)]
+    for i, j, v in _mutated(draw, list(moved.nonzero())):
+        buf[i][j] = v
+    return a, InterMap(Matrix(buf))
+
+
+@st.composite
+def dense_o_operator_inputs(draw) -> tuple[ClusterAlgebra, Bimodule, InterMap]:
+    """A dense random bimodule of a dense random algebra below level 8, on a
+    module of another dimension, with a dense map V -> A; or a dense-basis
+    Rota-Baxter map on the regular bimodule (``dense_map_inputs``)."""
+    if draw(st.booleans()):
+        level = draw(st.sampled_from((1, 2, 4)))
+        a = _dense_random(draw, level, draw(st.integers(2, 3)))
+        md = draw(st.integers(1, 4).filter(lambda n: n != a.dim))
+        values = _dense_values(draw, 2 * len(a.level.ops) * a.dim * md * md)
+        m = bimodule_from_entries(level, a.dim, md, [
+            (side, op, i, r, c, next(values)) for side in "lr" for op in a.level.ops
+            for i in range(a.dim) for r in range(md) for c in range(md)])
+        return a, m, InterMap(_dense_grid(draw, a.dim, md))
+    a, t = draw(dense_map_inputs())
+    return a, regular_bimodule(a), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_o_operator_inputs())
+def test_dense_o_operator_agrees_with_oracle(case):
+    a, m, t = case
+    rep = is_o_operator(a, m, t)
+    assert _rows(rep) == oracles.oracle_o_operator(a, m, t.matrix)
+    _assert_reported_exactly(rep)
+    induced = induced_tensors(a, m, t)
+    assert {op: oracles.nested(x) for op, x in induced.items()} == \
+        oracles.oracle_induced(a, m, t.matrix)
+
+
+@st.composite
+def dense_homomorphism_inputs(draw) -> tuple[ClusterAlgebra, ClusterAlgebra, InterMap]:
+    """A dense random finer algebra and one at half its level with a dense
+    map between them, or the structure a dense-basis Rota-Baxter map
+    induces on its algebra's regular bimodule, with that map."""
+    if draw(st.booleans()):
+        level = draw(st.sampled_from((2, 4, 8)))
+        finer = _dense_random(draw, level, draw(st.integers(2, DENSE_DIMS[level])))
+        a = _dense_random(draw, level // 2, draw(st.integers(2, 3)))
+        return finer, a, InterMap(_dense_grid(draw, a.dim, finer.dim))
+    a, t = draw(dense_map_inputs())
+    return induce_on_module(a, regular_bimodule(a), t, check=False, verify=False), a, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_homomorphism_inputs())
+def test_dense_homomorphism_agrees_with_oracle(case):
+    finer, a, t = case
+    rep = homomorphism_report(finer, a, t)
+    assert _rows(rep) == oracles.oracle_homomorphism(finer, a, t.matrix)
+    _assert_reported_exactly(rep)
 
 
 # checker, oracle and the ids the oracle's parts evaluate, in order
