@@ -9,11 +9,14 @@ axioms evaluated in A (+) V on the basis triples with one module slot.
 A violation's witness (i, j, c) names the algebra basis pair (e_i, e_j)
 of the identity and the least module basis index c at which it fails;
 its discrepancy is the V-part of lhs - rhs on v_c.  The identities run
-on the scaled integer fibres of A (+) V (``core.scaled_fibres``, one
+on the scaled integer fibres of A (+) V (``semidirect_fibres``, one
 denominator D for the algebra and the actions), all three module slots
 of an axiom from one ``core.axiom_sums``; a reported discrepancy is
-divided back by D^2.  No level-8 bimodule is implemented: only the
-recipe exists for it, not a definition, so asking for one is an error.
+divided back by D^2.  ``semidirect_sum`` and ``semidirect_fibres`` read
+one listing of A (+) V's nonzero constants, so a check or an induction
+builds no tensor of A (+) V.  No level-8 bimodule is implemented: only
+the recipe exists for it, not a definition, so asking for one is an
+error.
 
 Action matrices act on column coordinates of V: ``lmap[op][i]`` is the
 matrix of l_op(e_i), and similarly for ``rmap``.  The dual bimodule
@@ -28,9 +31,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
-from .core import (AXIOMS, ClusterAlgebra, Level, LevelError, Report,
-                   Violation, axiom_sums, mult_operator, project,
-                   scaled_fibres)
+from .core import (AXIOMS, ClusterAlgebra, Fibres, Level, LevelError, Report,
+                   Violation, axiom_sums, listing_fibres, mult_operator, project)
 from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, rat, vec_add
 
 
@@ -139,13 +141,12 @@ def check_bimodule(a: ClusterAlgebra, m: Bimodule) -> Report:
         raise LevelError(f"algebra level {int(a.level)} vs bimodule level {int(m.level)}")
     if a.dim != m.algebra_dim:
         raise DimensionMismatch("algebra dim does not match bimodule")
-    s = semidirect_sum(a, m, check=False)
     d, level = a.dim, int(a.level)
-    den, fibres = scaled_fibres(s)
+    den, fibres = semidirect_fibres(a, m)
     den2 = den * den
     # the outer products skip the A.A block, so every triple reached has
     # exactly one module slot, and lhs - rhs lies in V
-    sums = [sorted(axiom_sums(axiom, fibres, s.dim, skip=d).items())
+    sums = [sorted(axiom_sums(axiom, fibres, d + m.module_dim, skip=d).items())
             for axiom in AXIOMS[level]]
     violations = []
     for ident, ax, slot, sign, swap in _MODULE_SLOTS[level]:
@@ -310,24 +311,43 @@ def semidirect_sum(a: ClusterAlgebra, m: Bimodule, check: bool = True) -> Cluste
     With check=True the bimodule identities are verified first and a
     failure raises PreconditionFailed carrying the report.
     """
-    if int(a.level) != int(m.level) or a.dim != m.algebra_dim:
-        raise DimensionMismatch("algebra and bimodule do not match")
+    _require_fit(a, m)
     if check:
         rep = check_bimodule(a, m)
         if not rep.ok:
             raise PreconditionFailed("map family is not a bimodule", rep)
-    d, md = a.dim, m.module_dim
-    n = d + md
-    sc = {}
-    for op in a.level.ops:
-        entries = list(a.sc[op].nonzero())
-        for i in range(d):
-            for r, c, v in m.lmap[op][i].nonzero():
-                entries.append((i, d + c, d + r, v))
-            for r, c, v in m.rmap[op][i].nonzero():
-                entries.append((d + c, i, d + r, v))
-        sc[op] = Tensor3.from_entries((n, n, n), entries)
-    return ClusterAlgebra(a.level, n, sc)
+    n = a.dim + m.module_dim
+    return ClusterAlgebra(a.level, n, {
+        op: Tensor3.from_entries((n, n, n), _semidirect_listing(a, m, op))
+        for op in a.level.ops})
+
+
+def semidirect_fibres(a: ClusterAlgebra, m: Bimodule, syms: Iterable[str] | None = None
+                      ) -> tuple[int, dict[str, Fibres]]:
+    """``core.scaled_fibres`` of ``semidirect_sum(a, m, check=False)``, read
+    from the same listing of A (+) V's nonzero constants, with no tensor
+    built."""
+    _require_fit(a, m)
+    return listing_fibres(int(a.level), lambda op: _semidirect_listing(a, m, op), syms)
+
+
+def _require_fit(a: ClusterAlgebra, m: Bimodule) -> None:
+    if int(a.level) != int(m.level) or a.dim != m.algebra_dim:
+        raise DimensionMismatch("algebra and bimodule do not match")
+
+
+def _semidirect_listing(a: ClusterAlgebra, m: Bimodule, op: str
+                        ) -> list[tuple[int, int, int, Fraction]]:
+    """The nonzero constants (i, j, k, value) of op on A (+) V: a's, then
+    e_i op v_c = l_op(e_i) v_c and v_c op e_i = r_op(e_i) v_c."""
+    d = a.dim
+    entries = list(a.sc[op].nonzero())
+    for i in range(d):
+        for r, c, v in m.lmap[op][i].nonzero():
+            entries.append((i, d + c, d + r, v))
+        for r, c, v in m.rmap[op][i].nonzero():
+            entries.append((d + c, i, d + r, v))
+    return entries
 
 
 def octo_depth_bimodule(a: ClusterAlgebra) -> tuple[ClusterAlgebra, Bimodule]:

@@ -151,7 +151,7 @@ def _check_algebra(doc: dict, literals: set) -> tuple:
     rows = _rows(doc["sc"], 1, (dim, dim, dim), literals)
     level = Level.of(_int(doc["level"], "level"))
     ops = level.ops
-    bad = [op for op, *_ in rows if op not in ops]
+    bad = next((pos for pos in rows if pos[0] not in ops), None)
     if bad:
         raise LevelError(f"operation {shown(bad[0])} not defined at level {int(level)}")
     return level, dim, rows
@@ -169,9 +169,9 @@ def _check_bimodule(doc: dict, literals: set) -> tuple:
     rows = _rows(doc.get("entries", []), 2, (d, md, md), literals)
     level = Level.of(_int(doc["level"], "level"))
     ops = level.ops
-    bad = [pos for pos in rows if pos[0] not in ("l", "r") or pos[1] not in ops]
+    bad = next((pos for pos in rows if pos[0] not in ("l", "r") or pos[1] not in ops), None)
     if bad:
-        side, op = bad[0][:2]
+        side, op = bad[:2]
         raise LevelError(f"bad bimodule entry side/op: {shown(side)}/{shown(op)}")
     if level == Level.OCTO:
         raise LevelError("no level-8 bimodule is defined")

@@ -18,23 +18,33 @@ triple and reports exact discrepancies; identity labels such as
 "3.4.2-1" are stable ids used throughout reports and the CLI.
 
 Evaluation runs on scaled integers.  ``scaled_fibres`` takes the common
-denominator D of the constants of the operations a check reads and
-stores D c as sparse Python-int fibres (i, j) -> ((k, D c), ...), zeros
-dropped.  Every axiom is homogeneous of degree 2 in the constants, so
-``axiom_sums`` yields D^2 times the rational defect: the zero test is
-exact, and only a reported discrepancy is divided back, as
-Fraction(v, D^2).  It sums each side over the nonzero fibres only, so
-a triple that no product reaches costs nothing.
+denominator D of the constants of the operations a check reads, scales
+each operation once, and stores D c as sparse Python-int fibres
+(i, j) -> ((k, D c), ...), zeros dropped; ``listing_fibres`` does the
+same for any listing of nonzero constants (the semidirect sums of
+``bimodules`` use it).  Every axiom is homogeneous of degree 2 in the
+constants, so ``axiom_sums`` yields D^2 times the rational defect: the
+zero test is exact, and only a reported discrepancy is divided back, as
+Fraction(v, D^2).  Sparse fibres are summed one coordinate at a time
+over the nonzero fibres only, so a triple that no product reaches costs
+nothing.  Dense fibres (two or more nonzeros each on average,
+``is_dense``) are packed: each pair (i, j)'s n x n rows become one int
+with one balanced base-2^B digit per coordinate (Kronecker substitution,
+``linalg.packed``), so a side costs O(n^3) big-int products, a passing
+pair one zero test, and only a failing pair is unpacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 from math import lcm
-from typing import Iterable, Mapping
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Mapping
 
-from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3, rat, shown
+from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3, packed, rat, shown,
+                     unpacked, width_for)
 
 
 class SymbolInvalidAtLevel(ValueError):
@@ -186,19 +196,19 @@ def algebra_entries(a: ClusterAlgebra) -> list[tuple[str, int, int, int, Fractio
     return out
 
 
-def _parts(a: ClusterAlgebra, sym: str) -> tuple[str, ...]:
+def _parts(level: int, sym: str) -> tuple[str, ...]:
     """The base operations whose sum a base or derived symbol denotes."""
-    if sym in a.sc:
+    if sym in _LEVEL_OPS[level]:
         return (sym,)
-    table = DERIVED_SYMBOLS[int(a.level)]
+    table = DERIVED_SYMBOLS[level]
     if sym not in table:
-        raise SymbolInvalidAtLevel(f"symbol {sym!r} is not defined at level {int(a.level)}")
+        raise SymbolInvalidAtLevel(f"symbol {sym!r} is not defined at level {level}")
     return table[sym]
 
 
 def derived_op(a: ClusterAlgebra, sym: str) -> Tensor3:
     """Structure constants of a base or derived operation symbol."""
-    parts = _parts(a, sym)
+    parts = _parts(int(a.level), sym)
     acc = a.sc[parts[0]]
     for name in parts[1:]:
         acc = acc + a.sc[name]
@@ -336,48 +346,103 @@ AXIOMS: dict[int, tuple[tuple[str, _Term, _Term], ...]] = {
 # Sparse integer fibres: (i, j) -> ((k, c), ...) with every c nonzero.
 Fibres = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
+# The symbols the axioms of each level read.
+_AXIOM_SYMBOLS = {level: {s for _, lhs, rhs in table for s in (*lhs[1:], *rhs[1:])}
+                  for level, table in AXIOMS.items()}
+
 
 def scaled_fibres(a: ClusterAlgebra, syms: Iterable[str] | None = None
                   ) -> tuple[int, dict[str, Fibres]]:
     """A common denominator D and, per symbol, D times its structure
-    constants as sparse integer fibres.
+    constants as sparse integer fibres (``listing_fibres`` of a's tensors).
+    syms defaults to every symbol the axioms of a's level read."""
+    return listing_fibres(int(a.level), lambda op: a.sc[op].nonzero(), syms)
 
-    Only the base operations the symbols name are read: D is the lcm of
-    their constants' denominators, and a derived symbol's fibres are sums
-    of its parts' scaled fibres, so every entry is an integer.  syms
-    defaults to every symbol the axioms of a's level read.
-    """
-    level = int(a.level)
+
+def listing_fibres(level: int, listing: Callable[[str], Iterable[tuple[int, int, int, Fraction]]],
+                   syms: Iterable[str] | None = None) -> tuple[int, dict[str, Fibres]]:
+    """``scaled_fibres`` of the level-`level` operations whose nonzero
+    constants listing(op) lists as (i, j, k, value), each position once.
+
+    Only the base operations the symbols name are read, each once: D is
+    the lcm of their constants' denominators, each is scaled to integers
+    once, and a derived symbol's fibres are sums of its parts' integer
+    rows, so every entry is an integer."""
     if syms is None:
-        syms = {s for _, lhs, rhs in AXIOMS[level] for s in (*lhs[1:], *rhs[1:])}
-    parts = {sym: _parts(a, sym) for sym in syms}
-    entries = {op: list(a.sc[op].nonzero()) for op in set().union(*parts.values())}
+        syms = _AXIOM_SYMBOLS[level]
+    parts = {sym: _parts(level, sym) for sym in syms}
+    entries = {op: list(listing(op)) for op in set().union(*parts.values())}
     den = lcm(*(v.denominator for rows in entries.values() for *_, v in rows))
+    base: dict[str, dict[tuple[int, int], dict[int, int]]] = {}
+    for op, rows in entries.items():
+        acc = base[op] = {}
+        for i, j, k, v in rows:
+            row = acc.get((i, j))
+            if row is None:
+                row = acc[i, j] = {}
+            row[k] = v.numerator * (den // v.denominator)
     out = {}
     for sym, ops in parts.items():
-        acc: dict[tuple[int, int], dict[int, int]] = {}
+        if len(ops) == 1:
+            out[sym] = {ij: tuple(row.items()) for ij, row in base[ops[0]].items()}
+            continue
+        acc = {}
         for op in ops:
-            for i, j, k, v in entries[op]:
-                row = acc.setdefault((i, j), {})
-                row[k] = row.get(k, 0) + v.numerator * (den // v.denominator)
-        fib = {}
-        for ij, row in acc.items():
-            nz = tuple((k, c) for k, c in row.items() if c)
-            if nz:
-                fib[ij] = nz
-        out[sym] = fib
+            for ij, row in base[op].items():
+                have = acc.get(ij)
+                if have is None:
+                    acc[ij] = dict(row)
+                else:
+                    for k, c in row.items():
+                        have[k] = have.get(k, 0) + c
+        out[sym] = {ij: nz for ij, row in acc.items()
+                    if (nz := tuple((k, c) for k, c in row.items() if c))}
     return den, out
+
+
+_VALUE = itemgetter(1)
+
+
+def largest_entry(cols: Iterable[Iterable[tuple[int, int]]]) -> int:
+    """The largest |v| over sparse integer columns or fibres of (index, v)."""
+    return max(map(abs, map(_VALUE, chain.from_iterable(cols))), default=0)
+
+
+def is_dense(*fibres: Fibres) -> bool:
+    """Whether the fibres hold two or more nonzeros on average: the choice
+    between a sparse and a packed contraction."""
+    count = sum(map(len, fibres))
+    if not count:
+        return False
+    nonzeros = 0
+    for fib in fibres:
+        nonzeros += sum(map(len, fib.values()))
+    return nonzeros >= 2 * count
 
 
 def axiom_sums(axiom: tuple[str, _Term, _Term], fibres: Mapping[str, Fibres], n: int,
                skip: int = 0) -> dict[tuple[int, int, int], list[int]]:
     """lhs - rhs of one axiom, keyed (i, j, k), on each basis triple of an
     n-dimensional algebra that a nonzero product reaches (the others have
-    defect 0), in the integers of ``scaled_fibres``: D^2 times the rational
-    defect.  Per side, the outer operation's fibres are indexed by the slot
-    the inner product feeds, and each nonzero inner product is multiplied
-    into those only.  With skip = s the outer operation reads no fibre
-    (p, q) with p, q < s."""
+    defect 0; some rows reached may be zero too), in the integers of
+    ``scaled_fibres``: D^2 times the rational defect.  With skip = s the
+    outer operation reads no fibre (p, q) with p, q < s.
+
+    Sparse fibres go through ``_sparse_sums``, dense ones (``is_dense``)
+    through ``_packed_sums``, which packs each coordinate vector into one
+    int.  With K the largest absolute constant the axiom reads, each
+    coordinate of lhs - rhs is a sum of at most n products per side, so
+    its absolute value is at most 2 n K^2, and the packed path's digit
+    width B = bit_length(2 n K^2) + 1 holds it as one balanced digit."""
+    (_, outer, inner), (_, outer2, inner2) = axiom[1:]
+    dense = is_dense(fibres[outer], fibres[inner], fibres[outer2], fibres[inner2])
+    return (_packed_sums if dense else _sparse_sums)(axiom, fibres, n, skip)
+
+
+def _sparse_sums(axiom, fibres, n, skip):
+    """``axiom_sums`` one coordinate at a time: per side, the outer
+    operation's fibres are indexed by the slot the inner product feeds,
+    and each nonzero inner product is multiplied into those only."""
     acc: dict[tuple[int, int, int], list[int]] = {}
     for sign, (shape, outer, inner) in zip((1, -1), axiom[1:]):
         left = shape == "L"  # (e_i inner e_j) outer e_k, else e_i outer (e_j inner e_k)
@@ -396,6 +461,50 @@ def axiom_sums(axiom: tuple[str, _Term, _Term], fibres: Mapping[str, Fibres], n:
                     for t, v in out:
                         row[t] += c * v
     return acc
+
+
+def _packed_sums(axiom, fibres, n, skip):
+    """``axiom_sums`` with each pair (i, j)'s rows packed into one int, the
+    coordinate (k, t) at digit n k + t.  The L side (e_i inner e_j) outer
+    e_k adds inner[i,j,m] P_m, with P_m = sum outer[m,k,t] 2^(B(nk+t)); the
+    R side e_i outer (e_j inner e_k) subtracts sum_m Q_{j,m} R_{i,m}, with
+    Q_{j,m} = sum_k inner[j,k,m] 2^(Bnk) and R_{i,m} = sum_t outer[i,m,t]
+    2^(Bt).  Only a nonzero pair is unpacked, into its nonzero rows."""
+    big = max(largest_entry(fibres[s].values()) for s in {*axiom[1][1:], *axiom[2][1:]})
+    width = width_for(2 * n * big * big)
+    acc: dict[tuple[int, int], int] = {}
+    for sign, (shape, outer, inner) in zip((1, -1), axiom[1:]):
+        kept = [(pq, fibre) for pq, fibre in fibres[outer].items()
+                if pq[0] >= skip or pq[1] >= skip]
+        if shape == "L":
+            p = [0] * n
+            for (m, k), fibre in kept:
+                p[m] += sign * packed(fibre, width) << (width * n * k)
+            for ij, fibre in fibres[inner].items():
+                if v := sum(c * p[m] for m, c in fibre):
+                    acc[ij] = acc.get(ij, 0) + v
+        else:
+            q: dict[int, list[int]] = {}
+            for (j, k), fibre in fibres[inner].items():
+                qj = q.get(j) or q.setdefault(j, [0] * n)
+                for m, c in fibre:
+                    qj[m] += c << (width * n * k)
+            r: dict[int, list[int]] = {}
+            for (i, m), fibre in kept:
+                r.setdefault(i, [0] * n)[m] = sign * packed(fibre, width)
+            for i, ri in r.items():
+                for j, qj in q.items():
+                    if v := sum(map(mul, qj, ri)):
+                        acc[i, j] = acc.get((i, j), 0) + v
+    rows = {}
+    for (i, j), x in acc.items():
+        if x:
+            digits = unpacked(x, n * n, width)
+            for k in range(n):
+                row = digits[n * k:n * k + n]
+                if any(row):
+                    rows[i, j, k] = row
+    return rows
 
 
 def check_axioms(a: ClusterAlgebra) -> Report:

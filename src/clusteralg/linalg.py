@@ -9,6 +9,9 @@ identity checkers and every product a map transports (one contraction,
 ``operators._transported``) do not evaluate in ``Fraction``: they clear
 each object's denominators once (``core.scaled_fibres``, ``Matrix.scaled_cols``)
 and sum over nonzero entries only, on Python ints: several times faster, as exact.
+On dense data they pack an integer vector into one int (``packed``, one
+balanced base-2^B digit per entry, B from ``width_for`` a bound on every
+entry) and unpack only a nonzero result (``unpacked``).
 
 Every exact solve (``Matrix.solve`` and ``inverse``, ``solve_consistent``)
 and the rank profile (``row_echelon_pivots``) read one fraction-free
@@ -98,6 +101,36 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...
 
 def vec_scale(c: Fraction, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * a for a in u)
+
+
+# ---------------------------------------------------------------------------
+# integer vectors packed into one int (Kronecker substitution)
+
+def width_for(bound: int) -> int:
+    """The digit width B of ``packed`` at which every integer of absolute
+    value at most bound is one balanced digit: 2^(B-1) > bound."""
+    return bound.bit_length() + 1
+
+
+def packed(entries: Iterable[tuple[int, int]], width: int) -> int:
+    """sum v 2^(width p) over the (p, v) entries: the vector with v at
+    position p, as one int."""
+    return sum(v << (width * p) for p, v in entries)
+
+
+def unpacked(x: int, count: int, width: int) -> list[int]:
+    """The count balanced base-2^width digits of x, lowest first, each in
+    [-2^(width-1), 2^(width-1)): the inverse of ``packed`` for vectors
+    whose entries all lie strictly inside that range."""
+    mask, half, digits = (1 << width) - 1, 1 << (width - 1), []
+    while x and len(digits) < count:
+        v = x & mask
+        x >>= width
+        if v >= half:  # a negative digit borrowed one from the next
+            v -= 1 << width
+            x += 1
+        digits.append(v)
+    return digits + [0] * (count - len(digits))
 
 
 class Matrix:

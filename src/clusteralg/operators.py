@@ -15,7 +15,13 @@ back onto A itself, compatibly with the original product.
 The graph test, the homomorphism test, induction, the Rota-Baxter pair
 and triple and the conjugation by an invertible T carry products along
 maps, and each is one integer contraction, ``_transported``, with its
-own maps; a result is divided back only when reported or stored.
+own maps, on the fibres of A (+) V (``bimodules.semidirect_fibres``) or
+of an algebra; a result is divided back only when reported or stored.
+Sparse fibres are contracted one coordinate at a time; dense ones
+(``core.is_dense``) pack each column of the out map into one int, so a
+fibre (s, t) becomes one int out(op(e_s, e_t)) and a pair (i, j) one
+sum of those with one zero test, each digit wide enough for the maps'
+column 1-norms, the largest fibre 1-norm and the largest out entry.
 
 Inducing operations re-verify their output by default (post-verification
 is cheap at these dimensions and catches violated preconditions); pass
@@ -28,10 +34,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable
 
-from .bimodules import Bimodule, PreconditionFailed, regular_bimodule, semidirect_sum
+from .bimodules import Bimodule, PreconditionFailed, regular_bimodule, semidirect_fibres
 from .core import (PROJECTIONS, ClusterAlgebra, Fibres, Level, LevelError, Report,
-                   Violation, check_axioms, project, scaled_fibres)
-from .linalg import DimensionMismatch, Fraction, Matrix, Tensor3
+                   Violation, check_axioms, is_dense, largest_entry, project,
+                   scaled_fibres)
+from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3, packed, unpacked,
+                     width_for)
 
 
 class NotCommuting(ValueError):
@@ -92,8 +100,18 @@ def _transported(den: int, fib: Fibres, left: Scaled, right: Scaled, out: Scaled
     scaled by den (``scaled_fibres``), for maps left, right into op's space
     and out from it into an n-dimensional one.  Returns the nonzero rows
     (i, j) -> den D_l D_r D_out (e_i o e_j) in pair order, on integers, and
-    that divisor."""
-    (den_l, lcols), (den_r, rcols), (den_o, ocols) = left, right, out
+    that divisor.  Sparse fibres are contracted one coordinate at a time,
+    dense ones (``core.is_dense``) on packed ints (``_packed_rows``)."""
+    return _contract(fib, left[1], right[1], out[1], n), den * left[0] * right[0] * out[0]
+
+
+def _contract(fib: Fibres, lcols, rcols, ocols, n: int) -> dict[tuple[int, int], list[int]]:
+    """``_transported``'s rows, for maps given by their integer columns."""
+    return (_packed_rows if is_dense(fib) else _sparse_rows)(fib, lcols, rcols, ocols, n)
+
+
+def _sparse_rows(fib, lcols, rcols, ocols, n):
+    """``_contract`` one coordinate at a time."""
     rows = {}
     for i, x in enumerate(lcols):
         for j, y in enumerate(rcols):
@@ -111,7 +129,51 @@ def _transported(den: int, fib: Fibres, left: Scaled, right: Scaled, out: Scaled
                     q[k] += v * ov
             if any(q):
                 rows[i, j] = q
-    return rows, den * den_l * den_r * den_o
+    return rows
+
+
+def _norm(cols) -> int:
+    """The largest column 1-norm of sparse integer columns or fibres."""
+    return max((sum(abs(v) for _, v in col) for col in cols), default=0)
+
+
+def _bound(fib: Fibres, lcols, rcols, ocols) -> int:
+    """A bound on every coordinate of a product ``_transported`` returns:
+    |out(op(left x, right y))_k| is at most |x|_1 |y|_1 times the largest
+    fibre 1-norm times the largest |out| entry."""
+    return _norm(lcols) * _norm(rcols) * _norm(fib.values()) * largest_entry(ocols)
+
+
+def _packed_rows(fib, lcols, rcols, ocols, n):
+    """``_contract`` on packed ints, each digit wide enough for ``_bound``:
+    only a nonzero product is unpacked."""
+    width = width_for(_bound(fib, lcols, rcols, ocols))
+    rows = _packed_products(fib, lcols, rcols, [packed(col, width) for col in ocols])
+    return {ij: unpacked(x, n, width) for ij, x in rows.items()}
+
+
+def _packed_products(fib: Fibres, lcols, rcols, outs: list[int]) -> dict[tuple[int, int], int]:
+    """The nonzero packed out(op(left x, right y)), keyed (i, j) in pair
+    order, with outs the packed columns of out: each fibre (s, t) becomes
+    one int out(op(e_s, e_t)), and pair (i, j) is sum sv tv out(op(e_s, e_t))
+    over the entries sv of column i of left and tv of column j of right."""
+    by_t: dict[int, list[tuple[int, int]]] = {}  # t -> [(s, out(op(e_s, e_t)))]
+    for (s, t), fibre in fib.items():
+        if v := sum(c * outs[m] for m, c in fibre):
+            by_t.setdefault(t, []).append((s, v))
+    ys = []  # per column y of right: s -> out(op(e_s, right y))
+    for y in rcols:
+        acc: dict[int, int] = {}
+        for t, tv in y:
+            for s, v in by_t.get(t, ()):
+                acc[s] = acc.get(s, 0) + tv * v
+        ys.append(acc)
+    rows = {}
+    for i, x in enumerate(lcols):
+        for j, acc in enumerate(ys):
+            if acc and (v := sum(sv * acc[s] for s, sv in x if s in acc)):
+                rows[i, j] = v
+    return rows
 
 
 def _tensor(den: int, fib: Fibres, left: Scaled, right: Scaled, out: Scaled,
@@ -144,7 +206,7 @@ def is_o_operator(a: ClusterAlgebra, m: Bimodule, t: InterMap) -> Report:
     if a.dim != m.algebra_dim or t.target_dim != a.dim or t.source_dim != m.module_dim:
         raise DimensionMismatch("map does not fit the algebra/bimodule pair")
     d = a.dim
-    den, fibres = scaled_fibres(semidirect_sum(a, m, check=False), a.level.ops)
+    den, fibres = semidirect_fibres(a, m, a.level.ops)
     den_t, cols = t.matrix.scaled_cols()
     # u -> (T v_u, v_u), and (x, v) -> x - T(v) on A (+) V, each times D_T
     graph = den_t, [col + [(d + u, den_t)] for u, col in enumerate(cols)]
@@ -203,7 +265,7 @@ def _induced(a: ClusterAlgebra, m: Bimodule, t: Scaled, inc: Scaled,
     A (+) V as op(T x, inc y) or op(inc x, T y) projected to V.  T maps
     into A and inc into V, both as coordinates of A (+) V; out maps V into
     an n-dimensional space."""
-    den, fibres = scaled_fibres(semidirect_sum(a, m, check=False), a.level.ops)
+    den, fibres = semidirect_fibres(a, m, a.level.ops)
     after = out[0], [[]] * a.dim + out[1]  # out after the projection to V
     return {new: _tensor(den, fibres[op], *((t, inc) if side == "l" else (inc, t)),
                          after, n)
@@ -240,8 +302,9 @@ def homomorphism_report(finer: ClusterAlgebra, a: ClusterAlgebra,
     coarse-op runs over the canonical projection of the finer algebra
     matching a's level.  Both sides are products transported on integers:
     T(u coarse-op v) through (id, id, T) on finer's fibres and T(u) op T(v)
-    through (T, T, id) on a's; each is cross-multiplied by the other's
-    divisor, and a defect is divided back only when reported."""
+    through (T, T, id) on a's, each out map scaled by the other side's
+    divisor, so that a pair holds exactly when its two integer rows are
+    equal; a defect is divided back only when reported."""
     level = int(finer.level)
     coarse = PROJECTIONS[(level, _CANONICAL_COARSER[level])]
     if level // 2 != int(a.level):
@@ -250,17 +313,23 @@ def homomorphism_report(finer: ClusterAlgebra, a: ClusterAlgebra,
         raise DimensionMismatch("map does not fit the two algebras")
     den_f, src = scaled_fibres(finer, coarse.values())
     den_a, dst = scaled_fibres(a, a.level.ops)
-    tmap, one_f, one_a = t.matrix.scaled_cols(), _units(range(finer.dim)), _units(range(a.dim))
+    den_t, tcols = t.matrix.scaled_cols()
+    one_f = _units(range(finer.dim))[1]
+    # each out map carries the other side's divisor, so that both sides are
+    # den_f den_a D_T^2 times their values
+    lout = [[(k, den_a * den_t * v) for k, v in col] for col in tcols]
+    rout = [[(k, den_f)] for k in range(a.dim)]
+    divisor = den_f * den_a * den_t * den_t
     zero = [0] * a.dim
     violations = []
     for op in a.level.ops:
-        lhs, dl = _transported(den_f, src[coarse[op]], one_f, one_f, tmap, a.dim)
-        rhs, dr = _transported(den_a, dst[op], tmap, tmap, one_a, a.dim)
+        lhs = _contract(src[coarse[op]], one_f, one_f, lout, a.dim)
+        rhs = _contract(dst[op], tcols, tcols, rout, a.dim)
         for ij in sorted(lhs.keys() | rhs.keys()):
-            diff = [x * dr - y * dl for x, y in zip(lhs.get(ij, zero), rhs.get(ij, zero))]
-            if any(diff):
+            x, y = lhs.get(ij, zero), rhs.get(ij, zero)
+            if x != y:
                 violations.append(Violation(f"hom-{op}", ij, tuple(
-                    Fraction(v, dl * dr) for v in diff)))
+                    Fraction(u - v, divisor) for u, v in zip(x, y))))
     return Report(tuple(violations))
 
 

@@ -11,25 +11,31 @@ structure constants entry by entry, with the brute-force oracles in
 tests/oracles.py.  The sparse strategies draw a few entries per object;
 the dense ones (``dense_algebras`` and the inputs built on it) fill every
 fibre, with numerators up to 2^40, so that each checker's dense path is
-compared with the oracles as well.
+compared with the oracles as well.  The last properties send the same
+inputs through both private paths of ``core.axiom_sums`` and of
+``operators._transported``, and pack and unpack vectors at the width's
+bound.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusteralg import catalog
 from clusteralg.bimodules import (_MODULE_SLOTS, Bimodule, bimodule_entries,
                                   bimodule_from_entries, check_bimodule,
-                                  regular_bimodule)
-from clusteralg.core import (AXIOMS, ClusterAlgebra, Level, algebra_entries,
-                             algebra_from_entries, check_axioms)
+                                  regular_bimodule, semidirect_fibres)
+from clusteralg.core import (AXIOMS, ClusterAlgebra, Level, _packed_sums, _sparse_sums,
+                             algebra_entries, algebra_from_entries, check_axioms,
+                             scaled_fibres)
 from clusteralg.forms import (_COMPOSITES, _FINER_IDENTITIES, _FORM_CONDITIONS,
                               BilinearForm, classify_form, finer_form_identities,
                               finer_from_form, tensor_to_form)
-from clusteralg.linalg import Matrix
-from clusteralg.operators import (InterMap, homomorphism_report, induce_on_module,
+from clusteralg.linalg import Matrix, packed, unpacked, width_for
+from clusteralg.operators import (InterMap, _packed_rows, _sparse_rows,
+                                  homomorphism_report, induce_on_module,
                                   induced_tensors, is_o_operator, is_rota_baxter)
 from clusteralg.yangbaxter import (Tensor2, canonical_double_solution, check_aybe,
                                    check_d_equation, check_o_equation,
@@ -298,7 +304,7 @@ def dense_algebras(draw, levels=(1, 2, 4, 8)) -> ClusterAlgebra:
     return algebra_from_entries(level, a.dim, _mutated(draw, algebra_entries(a)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(dense_algebras())
 def test_dense_axiom_report_agrees_with_oracle(a):
     rep = check_axioms(a)
@@ -345,7 +351,7 @@ def dense_bimodule_inputs(draw) -> tuple[ClusterAlgebra, Bimodule]:
                                     _mutated(draw, bimodule_entries(m)))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(dense_bimodule_inputs())
 def test_dense_bimodules_agree_with_oracle(case):
     a, m = case
@@ -391,7 +397,7 @@ def dense_o_operator_inputs(draw) -> tuple[ClusterAlgebra, Bimodule, InterMap]:
     return a, regular_bimodule(a), t
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(dense_o_operator_inputs())
 def test_dense_o_operator_agrees_with_oracle(case):
     a, m, t = case
@@ -417,7 +423,7 @@ def dense_homomorphism_inputs(draw) -> tuple[ClusterAlgebra, ClusterAlgebra, Int
     return induce_on_module(a, regular_bimodule(a), t, check=False, verify=False), a, t
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(dense_homomorphism_inputs())
 def test_dense_homomorphism_agrees_with_oracle(case):
     finer, a, t = case
@@ -559,3 +565,112 @@ def test_form_conditions_agree_with_oracle(case, data):
         (name, triple, (value,)) for name, triple, value in oracles.oracle_form_conditions(
             a, other.matrix, FINER_TABLES[level], finer=candidate)]
     _assert_reported_exactly(rep)
+
+
+# ---------------------------------------------------------------------------
+# the two paths of each contraction: one coordinate at a time and packed
+
+def _nonzero_rows(rows: dict) -> dict:
+    return {key: row for key, row in rows.items() if any(row)}
+
+
+def _both_sums(axiom, fibres, n: int, skip: int = 0) -> tuple[dict, dict]:
+    return (_nonzero_rows(_sparse_sums(axiom, fibres, n, skip)),
+            _nonzero_rows(_packed_sums(axiom, fibres, n, skip)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(sparse_algebras(), dense_algebras()))
+def test_axiom_sum_paths_agree(a):
+    _, fibres = scaled_fibres(a)
+    for axiom in AXIOMS[int(a.level)]:
+        sparse, dense = _both_sums(axiom, fibres, a.dim)
+        assert sparse == dense
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(bimodule_inputs(), dense_bimodule_inputs()))
+def test_axiom_sum_paths_agree_on_semidirect_sums(case):
+    # with skip = dim A the outer products leave out the A.A block, which
+    # changes the rows of the triples in A whenever A fails its axioms
+    a, m = case
+    _, fibres = semidirect_fibres(a, m)
+    for axiom in AXIOMS[int(a.level)]:
+        for skip in (0, a.dim):
+            sparse, dense = _both_sums(axiom, fibres, a.dim + m.module_dim, skip)
+            assert sparse == dense
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_axiom_coefficients_at_the_width_bound(d):
+    # prec = 1 and succ = -2 everywhere, so star = -1: each coordinate of
+    # 2.1.5-1, (x < y) < z - x < (y * z), is d - (-d) = 2 d K^2 with K = 1,
+    # the largest value the packed width must hold
+    a = algebra_from_entries(2, d, [
+        (op, i, j, k, v) for op, v in (("prec", 1), ("succ", -2))
+        for i in range(d) for j in range(d) for k in range(d)])
+    _, fibres = scaled_fibres(a)
+    sparse, dense = _both_sums(AXIOMS[2][0], fibres, d)
+    assert sparse == dense == {(i, j, k): [2 * d] * d
+                               for i in range(d) for j in range(d) for k in range(d)}
+    assert _rows(check_axioms(a)) == oracles.oracle_axiom_report(a, AXIOMS[2])
+
+
+def _graph_maps(d: int, t: InterMap) -> tuple[list, list]:
+    """is_o_operator's maps as integer columns: u -> (D_T T v_u, D_T v_u),
+    and (x, v) -> D_T (x - T v) on A (+) V."""
+    den_t, cols = t.matrix.scaled_cols()
+    graph = [col + [(d + u, den_t)] for u, col in enumerate(cols)]
+    return graph, [[(k, den_t)] for k in range(d)] + [[(r, -v) for r, v in col]
+                                                       for col in cols]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(o_operator_inputs(), dense_o_operator_inputs()))
+def test_transport_paths_agree(case):
+    # the graph test's maps, and the induction's (T, inclusion of V,
+    # projection to V)
+    a, m, t = case
+    d, md = a.dim, m.module_dim
+    _, fibres = semidirect_fibres(a, m, a.level.ops)
+    graph, defect = _graph_maps(d, t)
+    tcols = t.matrix.scaled_cols()[1]
+    inc = [[(d + c, 1)] for c in range(md)]
+    proj = [[]] * d + [[(c, 1)] for c in range(md)]
+    for fib in fibres.values():
+        for maps, n in (((graph, graph, defect), d), ((tcols, inc, proj), md),
+                        ((inc, tcols, proj), md)):
+            assert _sparse_rows(fib, *maps, n) == _packed_rows(fib, *maps, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transport_coefficients_at_the_width_bound(n):
+    # every constant, map entry and out entry 1: each coordinate is
+    # |x|_1 |y|_1 (fibre 1-norm) max|out| = n^3, the width's bound
+    fib = {(s, t): tuple((m, 1) for m in range(n)) for s in range(n) for t in range(n)}
+    ones = [[(r, 1) for r in range(n)] for _ in range(n)]
+    want = {(i, j): [n ** 3] * n for i in range(n) for j in range(n)}
+    assert _sparse_rows(fib, ones, ones, ones, n) == _packed_rows(fib, ones, ones, ones, n) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 80), st.integers(1, 40), st.data())
+def test_pack_round_trip(width, count, data):
+    top = 2 ** (width - 1) - 1  # the largest digit held either way
+    digit = st.sampled_from((top, -top)) | st.integers(-top, top)
+    digits = data.draw(st.lists(digit, min_size=count, max_size=count))
+    assert unpacked(packed(enumerate(digits), width), count, width) == digits
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 61, 64])
+def test_pack_round_trip_at_the_extremes(width):
+    top = 2 ** (width - 1) - 1
+    for digits in ([top] * 9, [-top] * 9, [top, -top] * 5, [-top, top] * 5, [0, -top, 0]):
+        assert unpacked(packed(enumerate(digits), width), len(digits), width) == digits
+
+
+@given(st.integers(0, 2**200))
+def test_width_holds_its_bound_and_no_more(bound):
+    width = width_for(bound)
+    assert bound < 2 ** (width - 1)
+    assert width == 1 or 2 ** (width - 2) <= bound
