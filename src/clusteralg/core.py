@@ -372,7 +372,7 @@ def listing_fibres(level: int, listing: Callable[[str], Iterable[tuple[int, int,
         syms = _AXIOM_SYMBOLS[level]
     parts = {sym: _parts(level, sym) for sym in syms}
     entries = {op: list(listing(op)) for op in set().union(*parts.values())}
-    den = lcm(*(v.denominator for rows in entries.values() for *_, v in rows))
+    den = lcm(*{v.denominator for rows in entries.values() for _, _, _, v in rows})
     base: dict[str, dict[tuple[int, int], dict[int, int]]] = {}
     for op, rows in entries.items():
         acc = base[op] = {}
@@ -380,7 +380,8 @@ def listing_fibres(level: int, listing: Callable[[str], Iterable[tuple[int, int,
             row = acc.get((i, j))
             if row is None:
                 row = acc[i, j] = {}
-            row[k] = v.numerator * (den // v.denominator)
+            p, q = v.as_integer_ratio()
+            row[k] = p * (den // q)
     out = {}
     for sym, ops in parts.items():
         if len(ops) == 1:

@@ -31,7 +31,7 @@ verify=False to skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable
 
 from .bimodules import Bimodule, PreconditionFailed, regular_bimodule, semidirect_fibres
@@ -111,24 +111,33 @@ def _contract(fib: Fibres, lcols, rcols, ocols, n: int) -> dict[tuple[int, int],
 
 
 def _sparse_rows(fib, lcols, rcols, ocols, n):
-    """``_contract`` one coordinate at a time."""
-    rows = {}
-    for i, x in enumerate(lcols):
-        for j, y in enumerate(rcols):
-            p: dict[int, int] = {}  # den D_l D_r op(left x, right y)
-            for (s, sv), (t, tv) in product(x, y):
-                if fibre := fib.get((s, t)):
+    """``_contract`` one coordinate at a time, over the nonzero fibres only:
+    fibre (s, t) feeds each pair (i, j) whose left column i reads s and
+    whose right column j reads t."""
+    lrows = _by_row(lcols)
+    rrows = lrows if rcols is lcols else _by_row(rcols)
+    acc: dict[tuple[int, int], list[int]] = {}
+    for (s, t), fibre in fib.items():
+        if (ls := lrows.get(s)) and (rt := rrows.get(t)):
+            for i, sv in ls:
+                for j, tv in rt:
                     c = sv * tv
+                    q = acc.get((i, j))
+                    if q is None:
+                        q = acc[i, j] = [0] * n
                     for m, v in fibre:
-                        p[m] = p.get(m, 0) + c * v
-            if not p:
-                continue
-            q = [0] * n
-            for m, v in p.items():
-                for k, ov in ocols[m]:
-                    q[k] += v * ov
-            if any(q):
-                rows[i, j] = q
+                        cv = c * v
+                        for k, ov in ocols[m]:
+                            q[k] += cv * ov
+    return {ij: acc[ij] for ij in sorted(acc) if any(acc[ij])}
+
+
+def _by_row(cols) -> dict[int, list[tuple[int, int]]]:
+    """Sparse integer columns indexed by row: r -> [(column, value)]."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for c, col in enumerate(cols):
+        for r, v in col:
+            rows.setdefault(r, []).append((c, v))
     return rows
 
 

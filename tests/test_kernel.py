@@ -304,7 +304,7 @@ def dense_algebras(draw, levels=(1, 2, 4, 8)) -> ClusterAlgebra:
     return algebra_from_entries(level, a.dim, _mutated(draw, algebra_entries(a)))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(dense_algebras())
 def test_dense_axiom_report_agrees_with_oracle(a):
     rep = check_axioms(a)
@@ -329,29 +329,29 @@ def _conjugated(m: Bimodule, pad: int, s: Matrix, t: Matrix) -> Bimodule:
 
 @st.composite
 def dense_bimodule_inputs(draw) -> tuple[ClusterAlgebra, Bimodule]:
-    """A dense random bimodule of a dense random algebra, on a module of any
-    dimension; or the regular bimodule of a dense-basis catalog algebra
+    """A dense random bimodule of a dense random algebra, on a module of
+    another dimension; or the regular bimodule of a dense-basis catalog algebra
     (``_dense_catalog``),
     perhaps padded by a zero summand, in a dense module basis; either
     perhaps with one entry mutated."""
     level = draw(st.sampled_from((1, 2, 4)))
-    small = 2 if level == 4 else 3  # the oracle reads every triple of A (+) V
+    small = 3 if level == 1 else 2  # the oracle reads every triple of A (+) V
     if draw(st.booleans()):
         a = _dense_random(draw, level, draw(st.integers(2, small)))
-        md = draw(st.integers(1, small))
+        md = draw(st.integers(1, small + 1).filter(lambda n: n != a.dim))
         values = _dense_values(draw, 2 * len(a.level.ops) * a.dim * md * md)
         m = bimodule_from_entries(int(a.level), a.dim, md, [
             (side, op, i, r, c, next(values)) for side in "lr" for op in a.level.ops
             for i in range(a.dim) for r in range(md) for c in range(md)])
     else:
         a = _dense_catalog(draw, _nonzero_catalog(level, 3))
-        pad = draw(st.integers(0, small - 2))
+        pad = draw(st.integers(0, int(level == 1)))
         m = _conjugated(regular_bimodule(a), pad, *_dense_basis(draw, a.dim + pad))
     return a, bimodule_from_entries(int(a.level), a.dim, m.module_dim,
                                     _mutated(draw, bimodule_entries(m)))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=12, deadline=None)
 @given(dense_bimodule_inputs())
 def test_dense_bimodules_agree_with_oracle(case):
     a, m = case
@@ -397,7 +397,7 @@ def dense_o_operator_inputs(draw) -> tuple[ClusterAlgebra, Bimodule, InterMap]:
     return a, regular_bimodule(a), t
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(dense_o_operator_inputs())
 def test_dense_o_operator_agrees_with_oracle(case):
     a, m, t = case
@@ -625,7 +625,7 @@ def _graph_maps(d: int, t: InterMap) -> tuple[list, list]:
                                                        for col in cols]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(st.one_of(o_operator_inputs(), dense_o_operator_inputs()))
 def test_transport_paths_agree(case):
     # the graph test's maps, and the induction's (T, inclusion of V,
@@ -653,7 +653,7 @@ def test_transport_coefficients_at_the_width_bound(n):
     assert _sparse_rows(fib, ones, ones, ones, n) == _packed_rows(fib, ones, ones, ones, n) == want
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(st.integers(2, 80), st.integers(1, 40), st.data())
 def test_pack_round_trip(width, count, data):
     top = 2 ** (width - 1) - 1  # the largest digit held either way
