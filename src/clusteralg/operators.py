@@ -155,17 +155,11 @@ def _bound(fib: Fibres, lcols, rcols, ocols) -> int:
 
 def _packed_rows(fib, lcols, rcols, ocols, n):
     """``_contract`` on packed ints, each digit wide enough for ``_bound``:
-    only a nonzero product is unpacked."""
+    each fibre (s, t) becomes one int out(op(e_s, e_t)), pair (i, j) is
+    sum sv tv out(op(e_s, e_t)) over the entries sv of column i of left
+    and tv of column j of right, and only a nonzero pair is unpacked."""
     width = width_for(_bound(fib, lcols, rcols, ocols))
-    rows = _packed_products(fib, lcols, rcols, [packed(col, width) for col in ocols])
-    return {ij: unpacked(x, n, width) for ij, x in rows.items()}
-
-
-def _packed_products(fib: Fibres, lcols, rcols, outs: list[int]) -> dict[tuple[int, int], int]:
-    """The nonzero packed out(op(left x, right y)), keyed (i, j) in pair
-    order, with outs the packed columns of out: each fibre (s, t) becomes
-    one int out(op(e_s, e_t)), and pair (i, j) is sum sv tv out(op(e_s, e_t))
-    over the entries sv of column i of left and tv of column j of right."""
+    outs = [packed(col, width) for col in ocols]
     by_t: dict[int, list[tuple[int, int]]] = {}  # t -> [(s, out(op(e_s, e_t)))]
     for (s, t), fibre in fib.items():
         if v := sum(c * outs[m] for m, c in fibre):
@@ -181,7 +175,7 @@ def _packed_products(fib: Fibres, lcols, rcols, outs: list[int]) -> dict[tuple[i
     for i, x in enumerate(lcols):
         for j, acc in enumerate(ys):
             if acc and (v := sum(sv * acc[s] for s, sv in x if s in acc)):
-                rows[i, j] = v
+                rows[i, j] = unpacked(v, n, width)
     return rows
 
 
