@@ -17,6 +17,7 @@ inputs through both private paths of ``core.axiom_sums`` and of
 bound.
 """
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
@@ -242,7 +243,8 @@ big_rationals = st.builds(
 DENSE_DIMS = {1: 4, 2: 4, 4: 4, 8: 3}
 
 
-def _dense_values(draw, count: int) -> iter:
+def _dense_values(draw, count: int) -> Iterator[Fraction]:
+    """count drawn rationals with numerators up to 2^40, one at a time."""
     return iter(draw(st.lists(big_rationals, min_size=count, max_size=count)))
 
 
