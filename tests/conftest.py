@@ -140,3 +140,22 @@ def rebased_map(t: InterMap, lam, c=1) -> InterMap:
     d = t.source_dim
     return InterMap(Matrix([[c * t.matrix[i, j] * lam[j] / lam[i] for j in range(d)]
                             for i in range(d)]))
+
+
+def trunc_tensor(p: int, q: int) -> tuple[ClusterAlgebra, InterMap, InterMap]:
+    """trunc_p (x) trunc_q, polynomials in x and y modulo x^p and y^q with
+    x^s y^t at index s q + t, and P (x) id and id (x) P for the integration
+    P of each factor: commuting Rota-Baxter operators, not proportional."""
+    n = p * q
+    a = algebra_from_entries(1, n, [
+        ("star", s * q + t, u * q + v, (s + u) * q + t + v, 1)
+        for s in range(p) for t in range(q) for u in range(p) for v in range(q)
+        if s + u < p and t + v < q])
+    maps = []
+    for ds, dt in ((1, 0), (0, 1)):
+        buf = [[0] * n for _ in range(n)]
+        for s in range(p - ds):
+            for t in range(q - dt):
+                buf[(s + ds) * q + t + dt][s * q + t] = Fraction(1, (s + 1) if ds else (t + 1))
+        maps.append(InterMap(Matrix(buf)))
+    return a, *maps

@@ -185,6 +185,61 @@ def oracle_bimodule(a: ClusterAlgebra, m) -> bool:
     return oracle_axioms(semidirect(a, m))
 
 
+# The defining identities of each level, written out: (id, ("L", outer,
+# inner), ("R", outer, inner)) for (x inner y) outer z = x outer (y inner z),
+# an op being a base or summed operation of the level.
+AXIOMS = {
+    1: (
+        ("assoc", ("L", "star", "star"), ("R", "star", "star")),
+    ),
+    2: (
+        ("2.1.5-1", ("L", "prec", "prec"), ("R", "prec", "star")),
+        ("2.1.5-2", ("L", "prec", "succ"), ("R", "succ", "prec")),
+        ("2.1.5-3", ("L", "succ", "star"), ("R", "succ", "succ")),
+    ),
+    4: (
+        ("3.4.1-1", ("L", "nw", "nw"), ("R", "nw", "star")),
+        ("3.4.1-2", ("L", "nw", "ne"), ("R", "ne", "prec")),
+        ("3.4.1-3", ("L", "ne", "wedge"), ("R", "ne", "succ")),
+        ("3.4.2-1", ("L", "nw", "sw"), ("R", "sw", "wedge")),
+        ("3.4.2-2", ("L", "nw", "se"), ("R", "se", "nw")),
+        ("3.4.2-3", ("L", "ne", "vee"), ("R", "se", "ne")),
+        ("3.4.3-1", ("L", "sw", "prec"), ("R", "sw", "vee")),
+        ("3.4.3-2", ("L", "sw", "succ"), ("R", "se", "sw")),
+        ("3.4.3-3", ("L", "se", "star"), ("R", "se", "se")),
+    ),
+    8: (
+        ("4.4.1-1", ("L", "nw1", "nw1"), ("R", "nw1", "star")),
+        ("4.4.1-2", ("L", "nw1", "ne1"), ("R", "ne1", "ll")),
+        ("4.4.1-3", ("L", "ne1", "wedge1"), ("R", "ne1", "gg")),
+        ("4.4.2-1", ("L", "nw1", "sw1"), ("R", "sw1", "bigwedge")),
+        ("4.4.2-2", ("L", "nw1", "se1"), ("R", "se1", "nw12")),
+        ("4.4.2-3", ("L", "ne1", "vee1"), ("R", "se1", "ne12")),
+        ("4.4.3-1", ("L", "sw1", "prec1"), ("R", "sw1", "bigvee")),
+        ("4.4.3-2", ("L", "sw1", "succ1"), ("R", "se1", "sw12")),
+        ("4.4.3-3", ("L", "se1", "sigma1"), ("R", "se1", "se12")),
+        ("4.4.4-1", ("L", "nw1", "nw2"), ("R", "nw2", "sigma1")),
+        ("4.4.4-2", ("L", "nw1", "ne2"), ("R", "ne2", "prec1")),
+        ("4.4.4-3", ("L", "ne1", "wedge2"), ("R", "ne2", "succ1")),
+        ("4.4.5-1", ("L", "nw1", "sw2"), ("R", "sw2", "wedge1")),
+        ("4.4.5-2", ("L", "nw1", "se2"), ("R", "se2", "nw1")),
+        ("4.4.5-3", ("L", "ne1", "vee2"), ("R", "se2", "ne1")),
+        ("4.4.6-1", ("L", "sw1", "prec2"), ("R", "sw2", "vee1")),
+        ("4.4.6-2", ("L", "sw1", "succ2"), ("R", "se2", "sw1")),
+        ("4.4.6-3", ("L", "se1", "sigma2"), ("R", "se2", "se1")),
+        ("4.4.7-1", ("L", "nw2", "nw12"), ("R", "nw2", "sigma2")),
+        ("4.4.7-2", ("L", "nw2", "ne12"), ("R", "ne2", "prec2")),
+        ("4.4.7-3", ("L", "ne2", "bigwedge"), ("R", "ne2", "succ2")),
+        ("4.4.8-1", ("L", "nw2", "sw12"), ("R", "sw2", "wedge2")),
+        ("4.4.8-2", ("L", "nw2", "se12"), ("R", "se2", "nw2")),
+        ("4.4.8-3", ("L", "ne2", "bigvee"), ("R", "se2", "ne2")),
+        ("4.4.9-1", ("L", "sw2", "ll"), ("R", "sw2", "vee2")),
+        ("4.4.9-2", ("L", "sw2", "gg"), ("R", "se2", "sw2")),
+        ("4.4.9-3", ("L", "se2", "star"), ("R", "se2", "se2")),
+    ),
+}
+
+
 def oracle_axiom_report(a: ClusterAlgebra, table) -> list:
     """The failing rows of the identities in table, as (id, (i, j, k),
     lhs - rhs on (e_i, e_j, e_k)) in table order and then basis-triple
@@ -290,7 +345,7 @@ def oracle_o_operator(a: ClusterAlgebra, m, matrix) -> list:
 
 # The operations an O-operator induces on V, written out: u o w is
 # l_op(T u) w for ("l", op) and r_op(T w) u for ("r", op).
-_INDUCED = {
+INDUCTION = {
     1: {"succ": ("l", "star"), "prec": ("r", "star")},
     2: {"se": ("l", "succ"), "ne": ("r", "succ"), "sw": ("l", "prec"), "nw": ("r", "prec")},
     4: {"se1": ("r", "se"), "se2": ("l", "se"), "ne1": ("r", "ne"), "ne2": ("l", "ne"),
@@ -305,7 +360,7 @@ def oracle_induced(a: ClusterAlgebra, m, matrix) -> dict[str, list]:
     d, md = a.dim, m.module_dim
     cols = _map_cols(matrix, d, md)
     out = {}
-    for new_op, (side, op) in _INDUCED[int(a.level)].items():
+    for new_op, (side, op) in INDUCTION[int(a.level)].items():
         mats = m.lmap[op] if side == "l" else m.rmap[op]
         c = [[None] * md for _ in range(md)]
         for u in range(md):
@@ -349,6 +404,42 @@ def oracle_homomorphism(finer: ClusterAlgebra, a: ClusterAlgebra, matrix) -> lis
                 if any(diff):
                     rows.append((f"hom-{op}", (i, j), diff))
     return rows
+
+
+# The pair and triple constructions, written out: x o y = R_S(x) * R_T(y)
+# for (S, T) = RB_WORDS[level][o], R_S the composite of the operators
+# numbered in S (R_() the identity).
+RB_WORDS = {
+    4: {"se": ((1, 2), ()), "ne": ((1,), (2,)), "sw": ((2,), (1,)), "nw": ((), (1, 2))},
+    8: {"se1": ((2, 3), (1,)), "se2": ((1, 2, 3), ()),
+        "ne1": ((2,), (1, 3)), "ne2": ((1, 2), (3,)),
+        "sw1": ((3,), (1, 2)), "sw2": ((1, 3), (2,)),
+        "nw1": ((), (1, 2, 3)), "nw2": ((1,), (2, 3))},
+}
+
+
+def oracle_rb_construction(a: ClusterAlgebra, matrices) -> dict[str, list]:
+    """Per operation, the structure constants (nested lists, [i][j][k]) of
+    the quadri (two matrices) or octo (three) structure that commuting
+    Rota-Baxter operators with the given matrices put on the level-1
+    algebra a, by RB_WORDS with raw loops in Fraction."""
+    d = a.dim
+    star = nested(a.sc["star"])
+    cols = [_map_cols(m, d, d) for m in matrices]
+
+    def apply(word, vec):
+        for n in word:
+            out = [F0] * d
+            for c, v in enumerate(vec):
+                if v:
+                    for r in range(d):
+                        out[r] += v * cols[n - 1][c][r]
+            vec = out
+        return vec
+
+    return {op: [[prod(star, apply(left, _basis(d, i)), apply(right, _basis(d, j)))
+                  for j in range(d)] for i in range(d)]
+            for op, (left, right) in RB_WORDS[2 ** len(matrices)].items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from clusteralg import catalog, cli
-from clusteralg.bundle import MAX_DIM, dumps
+from clusteralg.bundle import MAX_DIM, dumps, serialize_algebra, serialize_intermap
+from clusteralg.operators import InterMap, rb_finer
+
+from conftest import trunc_tensor
 
 
 def run(capsys, *argv):
@@ -352,6 +356,60 @@ def test_derive_dual_and_double_product_json_golden(capsys, tmp_path, catalog_pa
     assert code == 0
     assert out == _canonical_json({"field": "Q", "algebras": {
         "derived_double_product": {"level": 1, "dim": 8, "sc": _DOUBLE_SC}}})
+
+
+def _tower_bundle(path: Path) -> Path:
+    """trunc3 (x) trunc2 ("t32") with three commuting Rota-Baxter operators
+    r1 = P (x) id / 3, r2 = 2 id (x) P / 7 and r3 = 5 P (x) id / 2, and the
+    dendriform algebra "dend" that r1 induces, written to path."""
+    a, x, y = trunc_tensor(3, 2)
+    maps = {"r1": x.matrix.scale(Fraction(1, 3)), "r2": y.matrix.scale(Fraction(2, 7)),
+            "r3": x.matrix.scale(Fraction(5, 2))}
+    path.write_text(dumps({
+        "field": "Q",
+        "algebras": {"t32": serialize_algebra(a),
+                     "dend": serialize_algebra(rb_finer(a, InterMap(maps["r1"])))},
+        "maps": {name: dict(serialize_intermap(InterMap(m)), algebra="t32")
+                 for name, m in maps.items()}}), encoding="utf-8")
+    return path
+
+
+# `derive BUNDLE CONSTRUCTION ARGS --out FILE` on _tower_bundle: the arguments
+# and the one algebra the new FILE holds.
+GOLDEN_DERIVE_OUT = {
+    "induce": (["dend", "regular", "r2"], {"level": 4, "dim": 6, "sc": [
+        ["ne", 0, 0, 3, "2/21"], ["ne", 0, 2, 5, "2/21"], ["ne", 2, 0, 5, "1/21"],
+        ["nw", 0, 0, 3, "2/21"], ["nw", 0, 2, 5, "1/21"], ["nw", 2, 0, 5, "2/21"],
+        ["se", 0, 0, 3, "2/21"], ["se", 0, 2, 5, "2/21"], ["se", 2, 0, 5, "1/21"],
+        ["sw", 0, 0, 3, "2/21"], ["sw", 0, 2, 5, "1/21"], ["sw", 2, 0, 5, "2/21"]]}),
+    "rb-finer": (["t32", "r1"], {"level": 2, "dim": 6, "sc": [
+        ["prec", 0, 0, 2, "1/3"], ["prec", 0, 1, 3, "1/3"], ["prec", 0, 2, 4, "1/6"],
+        ["prec", 0, 3, 5, "1/6"], ["prec", 1, 0, 3, "1/3"], ["prec", 1, 2, 5, "1/6"],
+        ["prec", 2, 0, 4, "1/3"], ["prec", 2, 1, 5, "1/3"], ["prec", 3, 0, 5, "1/3"],
+        ["succ", 0, 0, 2, "1/3"], ["succ", 0, 1, 3, "1/3"], ["succ", 0, 2, 4, "1/3"],
+        ["succ", 0, 3, 5, "1/3"], ["succ", 1, 0, 3, "1/3"], ["succ", 1, 2, 5, "1/3"],
+        ["succ", 2, 0, 4, "1/6"], ["succ", 2, 1, 5, "1/6"], ["succ", 3, 0, 5, "1/6"]]}),
+    "rb-pair": (["t32", "r1", "r2"], {"level": 4, "dim": 6, "sc": [
+        ["ne", 0, 0, 3, "2/21"], ["ne", 0, 2, 5, "2/21"], ["ne", 2, 0, 5, "1/21"],
+        ["nw", 0, 0, 3, "2/21"], ["nw", 0, 2, 5, "1/21"], ["nw", 2, 0, 5, "2/21"],
+        ["se", 0, 0, 3, "2/21"], ["se", 0, 2, 5, "2/21"], ["se", 2, 0, 5, "1/21"],
+        ["sw", 0, 0, 3, "2/21"], ["sw", 0, 2, 5, "1/21"], ["sw", 2, 0, 5, "2/21"]]}),
+    "rb-triple": (["t32", "r1", "r2", "r3"], {"level": 8, "dim": 6, "sc": [
+        ["ne1", 0, 0, 5, "5/42"], ["ne2", 0, 0, 5, "5/21"], ["nw1", 0, 0, 5, "5/42"],
+        ["nw2", 0, 0, 5, "5/21"], ["se1", 0, 0, 5, "5/21"], ["se2", 0, 0, 5, "5/42"],
+        ["sw1", 0, 0, 5, "5/21"], ["sw2", 0, 0, 5, "5/42"]]}),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(GOLDEN_DERIVE_OUT))
+def test_derive_out_golden(capsys, tmp_path, construction):
+    args, algebra = GOLDEN_DERIVE_OUT[construction]
+    bundle, out = _tower_bundle(tmp_path / "tower.json"), tmp_path / "out.json"
+    assert run(capsys, "derive", str(bundle), construction, *args, "--out", str(out)) == \
+        (0, f"wrote 1 object(s) to {out}\n", "")
+    name = f"derived_{construction.replace('-', '_')}"
+    assert out.read_text(encoding="utf-8") == _canonical_json(
+        {"field": "Q", "algebras": {name: algebra}})
 
 
 @pytest.mark.parametrize("algebra, parity, seed, stderr", [

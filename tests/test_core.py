@@ -35,6 +35,11 @@ def test_zero_algebras_pass_every_level():
         assert check_axioms(zero_algebra(level, 3)).ok
 
 
+def test_axiom_tables_equal_the_written_out_copy():
+    # every level's identities, term for term and in order, ids included
+    assert AXIOMS == oracles.AXIOMS
+
+
 @pytest.mark.parametrize("name", ALGEBRA_ENTRIES)
 def test_catalog_algebras_pass_and_match_oracle(name):
     a = catalog.load(name).value

@@ -37,18 +37,23 @@ from clusteralg.forms import (_COMPOSITES, _FINER_IDENTITIES, _FORM_CONDITIONS,
 from clusteralg.linalg import Matrix, packed, unpacked, width_for
 from clusteralg.operators import (InterMap, _packed_rows, _sparse_rows,
                                   homomorphism_report, induce_on_module,
-                                  induced_tensors, is_o_operator, is_rota_baxter)
+                                  induced_tensors, is_o_operator, is_rota_baxter,
+                                  rb_finer, rb_pair_quadri, rb_triple_octo)
 from clusteralg.yangbaxter import (Tensor2, canonical_double_solution, check_aybe,
                                    check_d_equation, check_o_equation,
                                    check_q_equation)
 
 import oracles
+from conftest import trunc_tensor
 
 # Pairwise coprime small denominators and some large primes.
 DENOMINATORS = (1, 2, 3, 5, 7, 11, 65537, 1000003, 2**31 - 1, 2**61 - 1)
 
 nonzero_rationals = st.builds(
     Fraction, st.integers(-20, 20).filter(bool), st.sampled_from(DENOMINATORS))
+# for inputs whose constants compound through several maps and products
+small_rationals = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                            st.sampled_from((1, 2, 3, 5)))
 
 
 @st.composite
@@ -114,7 +119,8 @@ def test_axioms_agree_with_oracle(a):
 @given(st.one_of(sparse_algebras(), catalog_mutants()))
 def test_axiom_report_agrees_with_oracle(a):
     # ids, witnesses, order and exact discrepancies
-    assert _rows(check_axioms(a)) == oracles.oracle_axiom_report(a, AXIOMS[int(a.level)])
+    assert _rows(check_axioms(a)) == \
+        oracles.oracle_axiom_report(a, oracles.AXIOMS[int(a.level)])
 
 
 @st.composite
@@ -141,9 +147,9 @@ def _oracle_module_rows(a: ClusterAlgebra, m: Bimodule) -> list:
     """check_bimodule's rows read from the oracle's axiom report on the raw
     A (+) V: per module slot row, per (i, j), the least failing c."""
     level, d = int(a.level), a.dim
-    ids = [axiom[0] for axiom in AXIOMS[level]]
+    ids = [axiom[0] for axiom in oracles.AXIOMS[level]]
     report = {(ident, triple): diff for ident, triple, diff in
-              oracles.oracle_axiom_report(oracles.semidirect(a, m), AXIOMS[level])}
+              oracles.oracle_axiom_report(oracles.semidirect(a, m), oracles.AXIOMS[level])}
     rows = []
     for ident, ax, slot, sign, swap in _MODULE_SLOTS[level]:
         for i in range(d):
@@ -255,12 +261,13 @@ def _dense_random(draw, level: int, d: int) -> ClusterAlgebra:
         for i in range(d) for j in range(d) for k in range(d)])
 
 
-def _dense_basis(draw, d: int) -> tuple[Matrix, Matrix]:
+def _dense_basis(draw, d: int, values=nonzero_rationals) -> tuple[Matrix, Matrix]:
     """P = L U, L unit lower and U upper triangular with a nonzero diagonal,
-    every other entry of both drawn nonzero: dense and invertible; and P^-1."""
-    lower = [[draw(nonzero_rationals) if j < i else int(i == j) for j in range(d)]
+    every other entry of both drawn nonzero from values: dense and
+    invertible; and P^-1."""
+    lower = [[draw(values) if j < i else int(i == j) for j in range(d)]
              for i in range(d)]
-    upper = [[draw(nonzero_rationals) if j >= i else 0 for j in range(d)]
+    upper = [[draw(values) if j >= i else 0 for j in range(d)]
              for i in range(d)]
     p = Matrix(lower) @ Matrix(upper)
     return p, p.inverse()
@@ -310,7 +317,7 @@ def dense_algebras(draw, levels=(1, 2, 4, 8)) -> ClusterAlgebra:
 @given(dense_algebras())
 def test_dense_axiom_report_agrees_with_oracle(a):
     rep = check_axioms(a)
-    assert _rows(rep) == oracles.oracle_axiom_report(a, AXIOMS[int(a.level)])
+    assert _rows(rep) == oracles.oracle_axiom_report(a, oracles.AXIOMS[int(a.level)])
     _assert_reported_exactly(rep)
 
 
@@ -433,6 +440,43 @@ def test_dense_homomorphism_agrees_with_oracle(case):
     assert _rows(rep) == oracles.oracle_homomorphism(finer, a, t.matrix)
     _assert_reported_exactly(rep)
 
+
+
+@st.composite
+def commuting_families(draw) -> tuple[ClusterAlgebra, list[InterMap]]:
+    """trunc_p (x) trunc_q (``trunc_tensor``) of dim at most 6, scaled, with
+    three Rota-Baxter operators, each a multiple of one of its two
+    integrations, so they commute; all in one diagonal or one dense basis."""
+    p, q = draw(st.sampled_from(((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (2, 3))))
+    a, *ints = trunc_tensor(p, q)
+    maps = [draw(st.sampled_from(ints)).matrix.scale(draw(small_rationals))
+            for _ in range(3)]
+    if draw(st.booleans()):
+        basis, inverse = _dense_basis(draw, a.dim, small_rationals)
+    else:
+        lam = [draw(small_rationals) for _ in range(a.dim)]
+        basis, inverse = (Matrix([[v if i == j else 0 for j in range(a.dim)]
+                                  for i, v in enumerate(diag)])
+                          for diag in (lam, [1 / v for v in lam]))
+    return (_rebased(a, basis, inverse, draw(small_rationals)),
+            [InterMap(inverse @ m @ basis) for m in maps])
+
+
+@settings(max_examples=15, deadline=None)
+@given(commuting_families())
+def test_rota_baxter_constructions_agree_with_oracle(case):
+    # the pair, the triple, and rb_finer at each step of the triple's chain
+    a, (r1, r2, r3) = case
+    mats = [r.matrix for r in (r1, r2, r3)]
+    assert oracles.sc_nested(rb_pair_quadri(a, r1, r2)) == \
+        oracles.oracle_rb_construction(a, mats[:2])
+    assert oracles.sc_nested(rb_triple_octo(a, r1, r2, r3)) == \
+        oracles.oracle_rb_construction(a, mats)
+    finer = a
+    for r in (r2, r3, r1):
+        expected = oracles.oracle_induced(finer, regular_bimodule(finer), r.matrix)
+        finer = rb_finer(finer, r)
+        assert oracles.sc_nested(finer) == expected
 
 # checker, oracle and the ids the oracle's parts evaluate, in order
 EQUATIONS = {1: (check_aybe, "oracle_aybe", ("2.2.1",)),
@@ -615,7 +659,7 @@ def test_axiom_coefficients_at_the_width_bound(d):
     sparse, dense = _both_sums(AXIOMS[2][0], fibres, d)
     assert sparse == dense == {(i, j, k): [2 * d] * d
                                for i in range(d) for j in range(d) for k in range(d)}
-    assert _rows(check_axioms(a)) == oracles.oracle_axiom_report(a, AXIOMS[2])
+    assert _rows(check_axioms(a)) == oracles.oracle_axiom_report(a, oracles.AXIOMS[2])
 
 
 def _graph_maps(d: int, t: InterMap) -> tuple[list, list]:

@@ -10,7 +10,7 @@ from clusteralg.core import (LevelError, algebra_entries, algebra_from_entries,
                              check_axioms, project, zero_algebra)
 from clusteralg.forms import canonical_cocycle_form, canonical_invariant_form
 from clusteralg.linalg import Matrix, Tensor3, format_rational
-from clusteralg.operators import (InterMap, NotCommuting, NotRotaBaxter,
+from clusteralg.operators import (_INDUCTION, InterMap, NotCommuting, NotRotaBaxter,
                                   compatible_from_invertible,
                                   homomorphism_report, induce_on_module,
                                   is_o_operator, is_rota_baxter, rb_finer,
@@ -75,6 +75,11 @@ def test_rb_at_levels_2_and_4(dend_rb, dend_int3, int3, rb_nil2, quadri3):
 def test_no_rb_check_at_level_8(octo4, int3):
     with pytest.raises(LevelError):
         is_rota_baxter(octo4, InterMap.identity(4))
+
+
+def test_induction_table_equals_the_written_out_copy():
+    # compared as mappings: each key names one operation of the finer level
+    assert _INDUCTION == oracles.INDUCTION
 
 
 def test_induce_zero_map(nil2):
