@@ -13,6 +13,9 @@ The admissible levels and their operation names:
 Summing designated groups of operations yields the coarser structures
 (derived operations below), and each level's defining identities make
 those sums associative respectively dendriform respectively quadri.
+Only associativity is written out: each operation of level N splits into
+a prec and a succ part of level 2N (``SPLIT``), and each identity of level
+N into three of level 2N, one per variable (``_split_axioms``).
 The axiom checker evaluates every defining identity on every basis
 triple and reports exact discrepancies; identity labels such as
 "3.4.2-1" are stable ids used throughout reports and the CLI.
@@ -290,57 +293,49 @@ def opposite_check(a: ClusterAlgebra) -> Report:
 # both sides must agree on every basis triple (x, y, z) = (e_i, e_j, e_k).
 
 _Term = tuple[str, str, str]
+_Table = tuple[tuple[str, _Term, _Term], ...]
 
-AXIOMS: dict[int, tuple[tuple[str, _Term, _Term], ...]] = {
-    1: (
-        ("assoc", ("L", "star", "star"), ("R", "star", "star")),
-    ),
-    2: (
-        ("2.1.5-1", ("L", "prec", "prec"), ("R", "prec", "star")),
-        ("2.1.5-2", ("L", "prec", "succ"), ("R", "succ", "prec")),
-        ("2.1.5-3", ("L", "succ", "star"), ("R", "succ", "succ")),
-    ),
-    4: (
-        ("3.4.1-1", ("L", "nw", "nw"), ("R", "nw", "star")),
-        ("3.4.1-2", ("L", "nw", "ne"), ("R", "ne", "prec")),
-        ("3.4.1-3", ("L", "ne", "wedge"), ("R", "ne", "succ")),
-        ("3.4.2-1", ("L", "nw", "sw"), ("R", "sw", "wedge")),
-        ("3.4.2-2", ("L", "nw", "se"), ("R", "se", "nw")),
-        ("3.4.2-3", ("L", "ne", "vee"), ("R", "se", "ne")),
-        ("3.4.3-1", ("L", "sw", "prec"), ("R", "sw", "vee")),
-        ("3.4.3-2", ("L", "sw", "succ"), ("R", "se", "sw")),
-        ("3.4.3-3", ("L", "se", "star"), ("R", "se", "se")),
-    ),
-    8: (
-        ("4.4.1-1", ("L", "nw1", "nw1"), ("R", "nw1", "star")),
-        ("4.4.1-2", ("L", "nw1", "ne1"), ("R", "ne1", "ll")),
-        ("4.4.1-3", ("L", "ne1", "wedge1"), ("R", "ne1", "gg")),
-        ("4.4.2-1", ("L", "nw1", "sw1"), ("R", "sw1", "bigwedge")),
-        ("4.4.2-2", ("L", "nw1", "se1"), ("R", "se1", "nw12")),
-        ("4.4.2-3", ("L", "ne1", "vee1"), ("R", "se1", "ne12")),
-        ("4.4.3-1", ("L", "sw1", "prec1"), ("R", "sw1", "bigvee")),
-        ("4.4.3-2", ("L", "sw1", "succ1"), ("R", "se1", "sw12")),
-        ("4.4.3-3", ("L", "se1", "sigma1"), ("R", "se1", "se12")),
-        ("4.4.4-1", ("L", "nw1", "nw2"), ("R", "nw2", "sigma1")),
-        ("4.4.4-2", ("L", "nw1", "ne2"), ("R", "ne2", "prec1")),
-        ("4.4.4-3", ("L", "ne1", "wedge2"), ("R", "ne2", "succ1")),
-        ("4.4.5-1", ("L", "nw1", "sw2"), ("R", "sw2", "wedge1")),
-        ("4.4.5-2", ("L", "nw1", "se2"), ("R", "se2", "nw1")),
-        ("4.4.5-3", ("L", "ne1", "vee2"), ("R", "se2", "ne1")),
-        ("4.4.6-1", ("L", "sw1", "prec2"), ("R", "sw2", "vee1")),
-        ("4.4.6-2", ("L", "sw1", "succ2"), ("R", "se2", "sw1")),
-        ("4.4.6-3", ("L", "se1", "sigma2"), ("R", "se2", "se1")),
-        ("4.4.7-1", ("L", "nw2", "nw12"), ("R", "nw2", "sigma2")),
-        ("4.4.7-2", ("L", "nw2", "ne12"), ("R", "ne2", "prec2")),
-        ("4.4.7-3", ("L", "ne2", "bigwedge"), ("R", "ne2", "succ2")),
-        ("4.4.8-1", ("L", "nw2", "sw12"), ("R", "sw2", "wedge2")),
-        ("4.4.8-2", ("L", "nw2", "se12"), ("R", "se2", "nw2")),
-        ("4.4.8-3", ("L", "ne2", "bigvee"), ("R", "se2", "ne2")),
-        ("4.4.9-1", ("L", "sw2", "ll"), ("R", "sw2", "vee2")),
-        ("4.4.9-2", ("L", "sw2", "gg"), ("R", "se2", "sw2")),
-        ("4.4.9-3", ("L", "se2", "star"), ("R", "se2", "se2")),
-    ),
+# level -> op -> (prec part, succ part) at twice the level
+SPLIT: dict[int, dict[str, tuple[str, str]]] = {
+    1: {"star": ("prec", "succ")},
+    2: {"succ": ("ne", "se"), "prec": ("nw", "sw")},
+    4: {op: (op + "1", op + "2") for op in _LEVEL_OPS[4]},
 }
+
+# Per shape, per variable x, y, z, the parts of (outer, inner) a split side
+# keeps: on the path from the root to the variable, the prec part where it
+# lies left and the succ part where it lies right; off the path, both.
+_P, _S, _B = (0,), (1,), (0, 1)
+_SIDES = {"L": ((_P, _P), (_P, _S), (_S, _B)), "R": ((_P, _B), (_S, _P), (_S, _S))}
+
+# The paper's id of the identity that variable v (1, 2, 3) splits from the
+# b-th identity of the level below, whose id is parent.
+_AXIOM_IDS = {1: lambda parent, v, b: f"2.1.5-{v}",
+              2: lambda parent, v, b: f"3.4.{v}-{b}",
+              4: lambda parent, v, b: f"4.4.{3 * v - 3 + int(parent[4])}-{parent[6:]}"}
+
+
+def _split_axioms(level: int, parent: _Table) -> _Table:
+    """The identities of level 2 level from those of level, the variable as
+    the outer loop and the parent identity as the inner one; a term names
+    the base or derived symbol whose parts are the set its side keeps."""
+    split, finer = SPLIT[level], 2 * level
+    names = {frozenset(_parts(finer, sym)): sym
+             for sym in (*_LEVEL_OPS[finer], *DERIVED_SYMBOLS[finer])}
+
+    def part(sym: str, keep: tuple[int, ...]) -> str:
+        return names[frozenset(split[op][k] for op in _parts(level, sym) for k in keep)]
+
+    return tuple(
+        (_AXIOM_IDS[level](ident, v + 1, b),
+         *((shape, part(outer, _SIDES[shape][v][0]), part(inner, _SIDES[shape][v][1]))
+           for shape, outer, inner in sides))
+        for v in range(3) for b, (ident, *sides) in enumerate(parent, 1))
+
+
+AXIOMS: dict[int, _Table] = {1: (("assoc", ("L", "star", "star"), ("R", "star", "star")),)}
+for _level in SPLIT:
+    AXIOMS[2 * _level] = _split_axioms(_level, AXIOMS[_level])
 
 
 # Sparse integer fibres: (i, j) -> ((k, c), ...) with every c nonzero.

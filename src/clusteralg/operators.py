@@ -12,11 +12,14 @@ every O-operator transplants the algebra structure to V with twice as
 many operations; an invertible O-operator transports that structure
 back onto A itself, compatibly with the original product.
 
-The graph test, the homomorphism test, induction, the Rota-Baxter pair
-and triple and the conjugation by an invertible T carry products along
-maps, and each is one integer contraction, ``_transported``, with its
-own maps, on the fibres of A (+) V (``bimodules.semidirect_fibres``) or
-of an algebra; a result is divided back only when reported or stored.
+The graph test, the homomorphism test, induction and the conjugation by
+an invertible T carry products along maps, and each is one integer
+contraction, ``_transported``, with its own maps, on the fibres of A (+) V
+(``bimodules.semidirect_fibres``) or of an algebra; a result is divided
+back only when reported or stored.  A Rota-Baxter operator induces on
+A's own fibres (``_rb_tower``): ``rb_finer`` is one step, and the pair and
+triple are two and three steps with commuting operators, each step one
+contraction per new operation on the integer rows of the step before.
 Sparse fibres are contracted one coordinate at a time; dense ones
 (``core.is_dense``) pack each column of the out map into one int, so a
 fibre (s, t) becomes one int out(op(e_s, e_t)) and a pair (i, j) one
@@ -35,8 +38,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .bimodules import Bimodule, PreconditionFailed, regular_bimodule, semidirect_fibres
-from .core import (PROJECTIONS, ClusterAlgebra, Fibres, Level, LevelError, Report,
-                   Violation, check_axioms, is_dense, largest_entry, project,
+from .core import (PROJECTIONS, SPLIT, ClusterAlgebra, Fibres, Level, LevelError,
+                   Report, Violation, check_axioms, is_dense, largest_entry, project,
                    scaled_fibres)
 from .linalg import (DimensionMismatch, Fraction, Matrix, Tensor3, packed, unpacked,
                      width_for)
@@ -237,18 +240,12 @@ def is_rota_baxter(a: ClusterAlgebra, r: InterMap) -> Report:
     return is_o_operator(a, regular_bimodule(a), r)
 
 
-# How one operation of the finer algebra is built from the bimodule:
-# ("l", op, "uv") means u NEW v = l_op(T(u)) v, ("r", op, "vu") means
-# u NEW v = r_op(T(v)) u.  Keys are the finer level's operation names.
+# Per finer operation: ("l", op), u NEW v = l_op(T(u)) v, for the succ part
+# of op (``core.SPLIT``), and ("r", op), u NEW v = r_op(T(v)) u, for its prec part.
 _INDUCTION: dict[int, dict[str, tuple[str, str]]] = {
-    1: {"succ": ("l", "star"), "prec": ("r", "star")},
-    2: {"se": ("l", "succ"), "ne": ("r", "succ"),
-        "sw": ("l", "prec"), "nw": ("r", "prec")},
-    4: {"se1": ("r", "se"), "se2": ("l", "se"),
-        "ne1": ("r", "ne"), "ne2": ("l", "ne"),
-        "nw1": ("r", "nw"), "nw2": ("l", "nw"),
-        "sw1": ("r", "sw"), "sw2": ("l", "sw")},
-}
+    level: {new: (side, op) for op, parts in split.items()
+            for side, new in zip("rl", parts)}
+    for level, split in SPLIT.items()}
 
 _CANONICAL_COARSER = {2: "Assoc", 4: "HorizDend", 8: "DepthQuadri"}
 
@@ -290,13 +287,18 @@ def induce_on_module(a: ClusterAlgebra, m: Bimodule, t: InterMap,
     finer = ClusterAlgebra(Level.of(2 * int(a.level)), m.module_dim,
                            induced_tensors(a, m, t))
     if verify:
-        rep = check_axioms(finer)
-        if not rep.ok:
-            raise VerificationFailed("induced algebra fails its axioms", rep)
-        hom = homomorphism_report(finer, a, t)
-        if not hom.ok:
-            raise VerificationFailed("induced map is not a homomorphism", hom)
+        _verify_induced(finer, a, t)
     return finer
+
+
+def _verify_induced(finer: ClusterAlgebra, a: ClusterAlgebra, t: InterMap) -> None:
+    """The axioms of an induced algebra, then T a homomorphism onto a."""
+    rep = check_axioms(finer)
+    if not rep.ok:
+        raise VerificationFailed("induced algebra fails its axioms", rep)
+    hom = homomorphism_report(finer, a, t)
+    if not hom.ok:
+        raise VerificationFailed("induced map is not a homomorphism", hom)
 
 
 def homomorphism_report(finer: ClusterAlgebra, a: ClusterAlgebra,
@@ -345,7 +347,34 @@ def rb_finer(a: ClusterAlgebra, r: InterMap,
     product, index 1 acting through R on the right argument.
     """
     _require_rb(a, r, "map")
-    return induce_on_module(a, regular_bimodule(a), r, check=False, verify=verify)
+    finer = _rb_tower(a, (r,))
+    if verify:
+        _verify_induced(finer, a, r)
+    return finer
+
+
+def _rb_tower(a: ClusterAlgebra, maps: Iterable[InterMap]) -> ClusterAlgebra:
+    """``rb_finer`` with each map in turn, unchecked and unverified: one
+    ``_contract`` per new operation (``_INDUCTION``) through (R, id) or (id, R)
+    on the integer fibres of the level before, over a divisor that gains D_R
+    per map; a's fibres are scaled once, and only the last level becomes
+    Fraction."""
+    level, n = int(a.level), a.dim
+    den, fibres = scaled_fibres(a, a.level.ops)
+    one = _units(range(n))[1]
+    for r in maps:
+        den_r, cols = r.matrix.scaled_cols()
+        sides = {"l": (cols, one), "r": (one, cols)}
+        rows = {new: _contract(fibres[op], *sides[side], one, n)
+                for new, (side, op) in _INDUCTION[level].items()}
+        fibres = {new: {ij: tuple((k, v) for k, v in enumerate(row) if v)
+                        for ij, row in pairs.items()} for new, pairs in rows.items()}
+        den, level = den * den_r, 2 * level
+    return ClusterAlgebra(Level.of(level), n, {
+        op: Tensor3.from_entries((n, n, n), [(i, j, k, Fraction(v, den))
+                                             for (i, j), row in pairs.items()
+                                             for k, v in enumerate(row) if v])
+        for op, pairs in rows.items()})
 
 
 def _require_rb(a: ClusterAlgebra, r: InterMap, name: str) -> None:
@@ -354,48 +383,17 @@ def _require_rb(a: ClusterAlgebra, r: InterMap, name: str) -> None:
         raise NotRotaBaxter(f"{name} is not a Rota-Baxter operator", rep)
 
 
-def _require_commuting(*mats: Matrix) -> dict[tuple[int, int], Matrix]:
-    """mats[i] @ mats[j] for i < j, each checked equal to mats[j] @ mats[i]."""
-    products = {}
-    for i, j in combinations(range(len(mats)), 2):
-        products[i, j] = mats[i] @ mats[j]
-        if products[i, j] != mats[j] @ mats[i]:
-            raise NotCommuting(f"operators {i + 1} and {j + 1} do not commute")
-    return products
-
-
-def _pair_tensors(a: ClusterAlgebra, maps: dict[str, tuple[Scaled, Scaled]]
-                  ) -> dict[str, Tensor3]:
-    """Per name, the structure constants of x o y = left(x) * right(y) on a
-    level-1 algebra, with (left, right) = maps[name]."""
-    den, fibres = scaled_fibres(a, ("star",))
-    one = _units(range(a.dim))
-    return {name: _tensor(den, fibres["star"], left, right, one, a.dim)
-            for name, (left, right) in maps.items()}
-
-
 def rb_pair_quadri(a: ClusterAlgebra, r1: InterMap, r2: InterMap,
                    verify: bool = True) -> ClusterAlgebra:
     """Quadri structure from two commuting Rota-Baxter operators:
 
         x SE y = R1R2(x)*y     x NE y = R1(x)*R2(y)
         x SW y = R2(x)*R1(y)   x NW y = x*R1R2(y)
+
+    that is ``rb_finer`` with R1, then with R2, which is Rota-Baxter for
+    the dendriform algebra R1 induces because the two commute.
     """
-    if a.level != Level.ASSOC:
-        raise LevelError("pair construction starts from a level-1 algebra")
-    _require_rb(a, r1, "r1")
-    _require_rb(a, r2, "r2")
-    m12 = _require_commuting(r1.matrix, r2.matrix)[0, 1]
-    s1, s2, s12 = (m.scaled_cols() for m in (r1.matrix, r2.matrix, m12))
-    one = _units(range(a.dim))
-    sc = _pair_tensors(a, {"se": (s12, one), "ne": (s1, s2),
-                           "sw": (s2, s1), "nw": (one, s12)})
-    out = ClusterAlgebra(Level.QUADRI, a.dim, sc)
-    if verify:
-        rep = check_axioms(out)
-        if not rep.ok:
-            raise VerificationFailed("pair construction fails quadri axioms", rep)
-    return out
+    return _commuting_tower(a, (r1, r2), (0, 1), "pair", "quadri", verify)
 
 
 def rb_triple_octo(a: ClusterAlgebra, r1: InterMap, r2: InterMap, r3: InterMap,
@@ -406,27 +404,29 @@ def rb_triple_octo(a: ClusterAlgebra, r1: InterMap, r2: InterMap, r3: InterMap,
         x ne1 y = R2(x)*R1R3(y)    x ne2 y = R1R2(x)*R3(y)
         x sw1 y = R3(x)*R1R2(y)    x sw2 y = R1R3(x)*R2(y)
         x nw1 y = x*R1R2R3(y)      x nw2 y = R1(x)*R2R3(y)
+
+    that is ``rb_finer`` with R2, then R3, then R1 (R1 last; another order
+    gives another algebra).
     """
+    return _commuting_tower(a, (r1, r2, r3), (1, 2, 0), "triple", "octo", verify)
+
+
+def _commuting_tower(a: ClusterAlgebra, maps: tuple[InterMap, ...], order: tuple[int, ...],
+                     name: str, kind: str, verify: bool) -> ClusterAlgebra:
+    """The pair or triple construction: a level-1 algebra, then each map
+    Rota-Baxter and all commuting, then ``_rb_tower`` in order."""
     if a.level != Level.ASSOC:
-        raise LevelError("triple construction starts from a level-1 algebra")
-    for name, r in (("r1", r1), ("r2", r2), ("r3", r3)):
-        _require_rb(a, r, name)
-    products = _require_commuting(r1.matrix, r2.matrix, r3.matrix)
-    s1, s2, s3, s12, s13, s23, s123 = (m.scaled_cols() for m in (
-        r1.matrix, r2.matrix, r3.matrix, products[0, 1], products[0, 2],
-        products[1, 2], products[0, 1] @ r3.matrix))
-    one = _units(range(a.dim))
-    sc = _pair_tensors(a, {
-        "se1": (s23, s1), "se2": (s123, one),
-        "ne1": (s2, s13), "ne2": (s12, s3),
-        "sw1": (s3, s12), "sw2": (s13, s2),
-        "nw1": (one, s123), "nw2": (s1, s23),
-    })
-    out = ClusterAlgebra(Level.OCTO, a.dim, sc)
+        raise LevelError(f"{name} construction starts from a level-1 algebra")
+    for i, r in enumerate(maps, 1):
+        _require_rb(a, r, f"r{i}")
+    for i, j in combinations(range(len(maps)), 2):
+        if maps[i].matrix @ maps[j].matrix != maps[j].matrix @ maps[i].matrix:
+            raise NotCommuting(f"operators {i + 1} and {j + 1} do not commute")
+    out = _rb_tower(a, [maps[i] for i in order])
     if verify:
         rep = check_axioms(out)
         if not rep.ok:
-            raise VerificationFailed("triple construction fails octo axioms", rep)
+            raise VerificationFailed(f"{name} construction fails {kind} axioms", rep)
     return out
 
 
