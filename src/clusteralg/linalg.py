@@ -22,6 +22,7 @@ bounded, and a solution is a reduced right-hand side over the pivot.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -84,8 +85,18 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render as "p" when the denominator is 1, else "p/q"."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """str(n), also past the interpreter's limit on int to str conversion
+    (4,300 digits by default), which Decimal's conversion does not apply;
+    reading a literal keeps the limit (``rational_parts``)."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,29 @@ def test_oversized_value_is_cut_short(capsys, tmp_path, case):
     assert err.startswith(start) and len(err.encode("utf-8")) < 300, err[:400]
 
 
+def _decimal(n: int) -> str:
+    """n >= 0 in decimal, 1,000 digits at a time."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+@pytest.mark.parametrize("flag", ((), ("--json",)))
+def test_discrepancy_past_the_digit_limit_is_reported_whole(capsys, tmp_path, flag):
+    # e0 e0 = c e1 and e1 e1 = c e0, c 3,000 digits: (e0 e0) e1 - e0 (e0 e1)
+    # = c^2 e0 has 6,000 digits, more than the interpreter converts by str
+    c = "7" * 3000
+    path = tmp_path / "big.json"
+    path.write_text('{"field": "Q", "algebras": {"a": {"level": 1, "dim": 2, "sc": '
+                    f'[["star", 0, 0, 1, "{c}"], ["star", 1, 1, 0, "{c}"]]}}}}}}',
+                    encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), "a", *flag)
+    assert (code, err) == (1, "")
+    assert _decimal(int(c) ** 2) in out
+
+
 @pytest.mark.parametrize("length", (64, 65, 5000))
 def test_long_object_name_is_cut_short(capsys, tmp_path, length):
     # a name of up to 64 characters prints whole, a longer one cut short

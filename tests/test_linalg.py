@@ -18,6 +18,13 @@ def test_rational_string_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
 
 
+def test_rational_past_the_digit_limit_is_formatted_whole():
+    # 5,001 digits over 4,301: more than the interpreter converts by str
+    big = 10**5000
+    assert format_rational(Fraction(-big, 3)) == "-1" + "0" * 5000 + "/3"
+    assert format_rational(Fraction(1, 3 * 10**4300)) == "1/3" + "0" * 4300
+
+
 def test_rational_parsing_rejects_junk():
     for bad in ("1.5", "x", "1/0", ""):
         with pytest.raises(ValueError):
