@@ -83,20 +83,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as "p" when the denominator is 1, else "p/q"."""
-    if value.denominator == 1:
-        return _digits(value.numerator)
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
-
-
-def _digits(n: int) -> str:
-    """str(n), also past the interpreter's limit on int to str conversion
-    (4,300 digits by default), which Decimal's conversion does not apply;
-    reading a literal keeps the limit (``rational_parts``)."""
+    """Render as "p" when the denominator is 1, else "p/q"; past the limit
+    on int to str conversion (4,300 digits by default) through Decimal,
+    which the limit does not cover (reading a literal keeps it)."""
     try:
-        return str(n)
+        return str(value)
     except ValueError:
-        return str(Decimal(n))
+        p, q = (str(Decimal(n)) for n in value.as_integer_ratio())
+        return p if q == "1" else f"{p}/{q}"
 
 
 # ---------------------------------------------------------------------------

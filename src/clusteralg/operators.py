@@ -182,13 +182,12 @@ def _packed_rows(fib, lcols, rcols, ocols, n):
     return rows
 
 
-def _tensor(den: int, fib: Fibres, left: Scaled, right: Scaled, out: Scaled,
-            n: int) -> Tensor3:
-    """The structure constants of ``_transported``'s product, in Fraction."""
-    rows, divisor = _transported(den, fib, left, right, out, n)
-    return Tensor3.from_entries((len(left[1]), len(right[1]), n), [
-        (i, j, k, Fraction(v, divisor)) for (i, j), row in rows.items()
-        for k, v in enumerate(row) if v])
+def _tensor(rows: dict[tuple[int, int], list[int]], divisor: int, n: int) -> Tensor3:
+    """The n x n x n structure constants whose rows (i, j), times divisor,
+    are rows, in Fraction."""
+    return Tensor3.from_entries((n, n, n), [(i, j, k, Fraction(v, divisor))
+                                            for (i, j), row in rows.items()
+                                            for k, v in enumerate(row) if v])
 
 
 # Identity ids for the per-operation O-operator conditions.
@@ -267,8 +266,8 @@ def _induced(a: ClusterAlgebra, m: Bimodule, t: Scaled, inc: Scaled,
     an n-dimensional space."""
     den, fibres = semidirect_fibres(a, m, a.level.ops)
     after = out[0], [[]] * a.dim + out[1]  # out after the projection to V
-    return {new: _tensor(den, fibres[op], *((t, inc) if side == "l" else (inc, t)),
-                         after, n)
+    sides = {"l": (t, inc), "r": (inc, t)}
+    return {new: _tensor(*_transported(den, fibres[op], *sides[side], after, n), n)
             for new, (side, op) in _INDUCTION[int(a.level)].items()}
 
 
@@ -370,11 +369,8 @@ def _rb_tower(a: ClusterAlgebra, maps: Iterable[InterMap]) -> ClusterAlgebra:
         fibres = {new: {ij: tuple((k, v) for k, v in enumerate(row) if v)
                         for ij, row in pairs.items()} for new, pairs in rows.items()}
         den, level = den * den_r, 2 * level
-    return ClusterAlgebra(Level.of(level), n, {
-        op: Tensor3.from_entries((n, n, n), [(i, j, k, Fraction(v, den))
-                                             for (i, j), row in pairs.items()
-                                             for k, v in enumerate(row) if v])
-        for op, pairs in rows.items()})
+    return ClusterAlgebra(Level.of(level), n,
+                          {op: _tensor(pairs, den, n) for op, pairs in rows.items()})
 
 
 def _require_rb(a: ClusterAlgebra, r: InterMap, name: str) -> None:
