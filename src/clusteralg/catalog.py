@@ -101,14 +101,14 @@ def _build() -> dict[str, CatalogEntry]:
                      "weight-zero identity over 9 basis pairs"),
         CatalogEntry("dend_from_rb_nil2", "algebra", rb_finer(nil2, rb_nil2), "nil2",
                      "dendriform splitting induced by rb_nil2 on nil2",
-                     "the three splitting identities over all triples"),
+                     "three identities, both sides zero on all triples"),
         CatalogEntry("dend_from_int3", "algebra", rb_finer(trunc3, int3), "trunc3",
                      "dendriform splitting induced by int3 on trunc3",
                      "the three splitting identities over all triples"),
         CatalogEntry("quadri_from_int3_pair", "algebra",
                      rb_pair_quadri(trunc3, int3, int3), "trunc3",
                      "four-fold splitting from the commuting pair (int3, int3)",
-                     "nine identities over 27 triples"),
+                     "nine identities, both sides zero on all 27 triples"),
         CatalogEntry("octo_from_int3_triple", "algebra",
                      rb_triple_octo(trunc3, int3, int3, int3), "trunc3",
                      "eight-fold splitting from (int3, int3, int3); every "
@@ -123,12 +123,12 @@ def _build() -> dict[str, CatalogEntry]:
                      "integration on trunc4", "weight-zero identity over 16 pairs"),
         CatalogEntry("quadri_from_int4_pair", "algebra",
                      rb_pair_quadri(trunc4, int4, int4), "trunc4",
-                     "nonzero level-4 example on dimension 4",
-                     "nine identities over 64 triples"),
+                     "four-fold splitting from (int4, int4), 12 nonzero constants",
+                     "nine identities, both sides zero on all 64 triples"),
         CatalogEntry("octo_from_int4_triple", "algebra",
                      rb_triple_octo(trunc4, int4, int4, int4), "trunc4",
-                     "nonzero level-8 example on dimension 4",
-                     "27 identities over 64 triples"),
+                     "eight-fold splitting from (int4, int4, int4), 8 nonzero "
+                     "constants", "27 identities, both sides zero on all 64 triples"),
     ]
     table = {e.name: e for e in entries}
     for entry in table.values():
