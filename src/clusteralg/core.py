@@ -316,8 +316,8 @@ _AXIOM_IDS = {1: lambda parent, v, b: f"2.1.5-{v}",
 
 
 def _split_axioms(level: int, parent: _Table) -> _Table:
-    """The identities of level 2 level from those of level, the variable as
-    the outer loop and the parent identity as the inner one; a term names
+    """The identities of level 2N from parent, those of level N: the variable
+    as the outer loop and the parent identity as the inner one; a term names
     the base or derived symbol whose parts are the set its side keeps."""
     split, finer = SPLIT[level], 2 * level
     names = {frozenset(_parts(finer, sym)): sym
